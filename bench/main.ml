@@ -14,6 +14,7 @@
 
 module Table = Ocgra_util.Table
 module Kernels = Ocgra_workloads.Kernels
+module Json = Ocgra_obs.Json
 
 let args = List.tl (Array.to_list Sys.argv)
 let quick = List.mem "quick" args
@@ -35,13 +36,25 @@ let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 (* Every BENCH_*.json snapshot opens with the same stamp: a schema
-   version plus the bench name, which is what lets `ocgra report` /
-   `bench diff` refuse to compare snapshots of different shape or
-   vintage.  Bump the version whenever a writer changes shape. *)
+   version plus the bench name, which is what lets `ocgra report`
+   refuse to compare snapshots of different shape or vintage.  Bump
+   the version whenever a writer changes shape. *)
 let bench_schema = 1
 
-let bench_stamp oc name =
-  output_string oc (Printf.sprintf "{\n\"schema\": %d,\n\"bench\": \"%s\",\n" bench_schema name)
+let int = Json.of_int
+let int_opt = function Some n -> int n | None -> Json.Null
+
+(* rounded to [digits] decimals, so snapshot numbers stay short *)
+let fixed digits x =
+  let scale = 10.0 ** float_of_int digits in
+  Json.Num (Float.round (x *. scale) /. scale)
+
+let fixed_opt digits = function Some x -> fixed digits x | None -> Json.Null
+
+let write_snapshot path name fields =
+  Ocgra_obs.Export.write_file path
+    (Json.write (Json.Obj (("schema", int bench_schema) :: ("bench", Json.Str name) :: fields))
+    ^ "\n")
 
 (* ------------------------------------------------------------------ *)
 (* T1a: Table I, bibliographic (generated from the corpus)            *)
@@ -67,49 +80,29 @@ let slow_mappers = [ "ilp-temporal"; "cp"; "sat"; "ilp-spatial" ]
    time and sums across workers — and a mapper's "time" column is the
    sum of its cells' mapping times (comparable across mappers
    regardless of interleaving). *)
-(* Minimal JSON string escaping for the BENCH_PR6.json emitter: cell
-   names are plain identifiers, but stay safe anyway. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Machine-readable companion of the t1b sweep: one record per
    (mapper, kernel) cell with the II, mapping time and the engine
    counters that cell's private metrics sink accumulated. *)
+let counters_to_json cs = Json.Obj (List.map (fun (name, v) -> (name, int v)) cs)
+
 let write_bench_json path records =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "table1-empirical";
-      output_string oc "\"cells\": [\n";
-      List.iteri
-        (fun i (mapper, kernel, ii, proven, dt, counters) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf "{\"mapper\": \"%s\", \"kernel\": \"%s\", \"ii\": %s, "
-               (json_escape mapper) (json_escape kernel)
-               (match ii with Some ii -> string_of_int ii | None -> "null"));
-          output_string oc
-            (Printf.sprintf "\"proven_optimal\": %b, \"map_time_s\": %.6f, \"counters\": {"
-               proven dt);
-          List.iteri
-            (fun j (name, v) ->
-              if j > 0 then output_string oc ", ";
-              output_string oc (Printf.sprintf "\"%s\": %d" (json_escape name) v))
-            counters;
-          output_string oc "}}")
-        records;
-      output_string oc "\n]\n}\n")
+  write_snapshot path "table1-empirical"
+    [
+      ( "cells",
+        Json.Arr
+          (List.map
+             (fun (mapper, kernel, ii, proven, dt, counters) ->
+               Json.Obj
+                 [
+                   ("mapper", Json.Str mapper);
+                   ("kernel", Json.Str kernel);
+                   ("ii", int_opt ii);
+                   ("proven_optimal", Json.Bool proven);
+                   ("map_time_s", fixed 6 dt);
+                   ("counters", counters_to_json counters);
+                 ])
+             records) );
+    ]
 
 (* ----- crash-safe sweep checkpointing (same discipline as
    Reliability.run_campaign): one JSON line per finished cell,
@@ -119,43 +112,49 @@ let write_bench_json path records =
    sweep must be configured identically — the header line pins the
    quick flag. ----- *)
 
-let bench_header () = Printf.sprintf "{\"bench\": {\"suite\": \"t1b\", \"quick\": %b}}" quick
-
-let counters_to_kv cs = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ string_of_int v) cs)
-
-let counters_of_kv s =
-  if s = "" then []
-  else
-    String.split_on_char ' ' s
-    |> List.filter_map (fun kv ->
-           match String.index_opt kv '=' with
-           | None -> None
-           | Some i -> (
-               let name = String.sub kv 0 i in
-               match int_of_string_opt (String.sub kv (i + 1) (String.length kv - i - 1)) with
-               | Some v -> Some (name, v)
-               | None -> None))
+let bench_header () =
+  Json.write
+    (Json.Obj [ ("bench", Json.Obj [ ("suite", Json.Str "t1b"); ("quick", Json.Bool quick) ]) ])
 
 let cell_line name (_, dt, ii, proven, counters) =
-  Printf.sprintf "{\"cell\": %S, \"ii\": %d, \"proven\": %B, \"time\": %.6f, \"counters\": %S}"
-    name
-    (match ii with Some ii -> ii | None -> -1)
-    proven dt (counters_to_kv counters)
+  Json.write
+    (Json.Obj
+       [
+         ("cell", Json.Str name);
+         ("ii", int_opt ii);
+         ("proven", Json.Bool proven);
+         ("time", Json.Num dt);
+         ("counters", counters_to_json counters);
+       ])
 
 let shown_of ~ii ~proven =
   match ii with
   | Some ii -> Printf.sprintf "II=%d%s" ii (if proven then "*" else "")
   | None -> "-"
 
-let parse_cell_line line =
-  match
-    Scanf.sscanf line "{\"cell\": %S, \"ii\": %d, \"proven\": %B, \"time\": %f, \"counters\": %S}"
-      (fun n ii pr t c -> (n, ii, pr, t, c))
-  with
-  | exception _ -> None (* torn tail of a killed sweep: the cell reruns *)
-  | n, ii, pr, t, c ->
-      let ii = if ii < 0 then None else Some ii in
-      Some (n, (shown_of ~ii ~proven:pr, t, ii, pr, counters_of_kv c))
+(* a line that does not decode is the torn tail of a killed sweep:
+   that cell reruns *)
+let cell_of_line line =
+  let ( let* ) = Result.bind in
+  let ii = function Json.Null -> Ok None | v -> Result.map Option.some (Json.int v) in
+  let counters = function
+    | Json.Obj kvs ->
+        List.fold_right
+          (fun (name, v) acc ->
+            let* acc = acc in
+            let* v = Json.int v in
+            Ok ((name, v) :: acc))
+          kvs (Ok [])
+    | _ -> Error "expected an object"
+  in
+  Result.to_option
+    (let* v = Json.parse line in
+     let* name = Json.field "cell" Json.string v in
+     let* ii = Json.field "ii" ii v in
+     let* proven = Json.field "proven" Json.bool v in
+     let* dt = Json.field "time" Json.float v in
+     let* counters = Json.field "counters" counters v in
+     Ok (name, (shown_of ~ii ~proven, dt, ii, proven, counters)))
 
 let t1b () =
   section "Table I (empirical): one implemented representative per cell, common suite";
@@ -186,15 +185,12 @@ let t1b () =
     let obs = Ocgra_obs.Ctx.v ~trace:Ocgra_obs.Trace.off ~metrics:(Ocgra_obs.Metrics.create ()) () in
     let o = Ocgra_core.Mapper.run mapper ~seed:7 ~obs p in
     let dt = Ocgra_core.Deadline.now () -. t0 in
-    let shown =
-      match o.mapping with
-      | Some m ->
-          Printf.sprintf "II=%d%s" m.Ocgra_core.Mapping.ii
-            (if o.proven_optimal then "*" else "")
-      | None -> "-"
-    in
     let ii = Option.map (fun m -> m.Ocgra_core.Mapping.ii) o.mapping in
-    (shown, dt, ii, o.proven_optimal, Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs))
+    ( shown_of ~ii ~proven:o.proven_optimal,
+      dt,
+      ii,
+      o.proven_optimal,
+      Ocgra_obs.Metrics.dump (Ocgra_obs.Ctx.metrics obs) )
   in
   let pairs =
     Array.of_list (List.concat_map (fun m -> List.map (fun k -> (m, k)) suite) mappers)
@@ -217,7 +213,7 @@ let t1b () =
                  path);
           List.iter
             (fun line ->
-              match parse_cell_line line with
+              match cell_of_line line with
               | Some (name, c) -> Hashtbl.replace completed name c
               | None -> ())
             rest)
@@ -356,39 +352,42 @@ let write_repair_json path ~seed ~steps_per_kernel results =
   let certified =
     List.length (List.filter (fun (_, (s : Ocgra_sim.Reliability.survivor_step)) -> s.rung <> None) step_records)
   in
-  let fnum = function None -> "null" | Some x -> Printf.sprintf "%.2f" x in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "repair-ladder";
-      output_string oc
-        (Printf.sprintf "\"seed\": %d,\n\"steps_per_kernel\": %d,\n\"steps\": [\n" seed
-           steps_per_kernel);
-      List.iteri
-        (fun i (kernel, (s : Ocgra_sim.Reliability.survivor_step)) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf
-               "{\"kernel\": \"%s\", \"step\": %d, \"rung\": %s, \"ii\": %s, \"replayed\": %b, \
-                \"repair_s\": %.6f, \"scratch_s\": %s, \"speedup\": %s}"
-               (json_escape kernel) s.step
-               (match s.rung with
-               | Some r -> Printf.sprintf "\"%s\"" (Ocgra_core.Mapper.rung_to_string r)
-               | None -> "null")
-               (match s.ii with Some ii -> string_of_int ii | None -> "null")
-               s.replayed s.repair_s
-               (match s.scratch_s with Some sc -> Printf.sprintf "%.6f" sc | None -> "null")
-               (match (s.rung, s.scratch_s) with
-               | Some _, Some sc when s.repair_s > 0.0 -> Printf.sprintf "%.2f" (sc /. s.repair_s)
-               | _ -> "null")))
-        step_records;
-      output_string oc
-        (Printf.sprintf
-           "\n],\n\"summary\": {\"kernels\": %d, \"steps\": %d, \"certified\": %d, \
-            \"median_speedup_all\": %s, \"median_speedup_incremental\": %s}\n}\n"
-           (List.length results) (List.length step_records) certified (fnum med_all)
-           (fnum med_incr)));
+  write_snapshot path "repair-ladder"
+    [
+      ("seed", int seed);
+      ("steps_per_kernel", int steps_per_kernel);
+      ( "steps",
+        Json.Arr
+          (List.map
+             (fun (kernel, (s : Ocgra_sim.Reliability.survivor_step)) ->
+               Json.Obj
+                 [
+                   ("kernel", Json.Str kernel);
+                   ("step", int s.step);
+                   ( "rung",
+                     match s.rung with
+                     | Some r -> Json.Str (Ocgra_core.Mapper.rung_to_string r)
+                     | None -> Json.Null );
+                   ("ii", int_opt s.ii);
+                   ("replayed", Json.Bool s.replayed);
+                   ("repair_s", fixed 6 s.repair_s);
+                   ("scratch_s", fixed_opt 6 s.scratch_s);
+                   ( "speedup",
+                     match (s.rung, s.scratch_s) with
+                     | Some _, Some sc when s.repair_s > 0.0 -> fixed 2 (sc /. s.repair_s)
+                     | _ -> Json.Null );
+                 ])
+             step_records) );
+      ( "summary",
+        Json.Obj
+          [
+            ("kernels", int (List.length results));
+            ("steps", int (List.length step_records));
+            ("certified", int certified);
+            ("median_speedup_all", fixed_opt 2 med_all);
+            ("median_speedup_incremental", fixed_opt 2 med_incr);
+          ] );
+    ];
   (med_all, med_incr)
 
 let repair_bench () =
@@ -499,42 +498,47 @@ let sat_sweep_run ~incremental (k : Kernels.t) grid =
   }
 
 let sat_sweep_json_run r =
-  Printf.sprintf
-    "{\"ii\": %s, \"attempts\": %d, \"conflicts\": %d, \"decisions\": %d, \
-     \"propagations\": %d, \"time_s\": %.6f}"
-    (match r.ss_ii with Some ii -> string_of_int ii | None -> "null")
-    r.ss_attempts r.ss_conflicts r.ss_decisions r.ss_propagations r.ss_time_s
+  Json.Obj
+    [
+      ("ii", int_opt r.ss_ii);
+      ("attempts", int r.ss_attempts);
+      ("conflicts", int r.ss_conflicts);
+      ("decisions", int r.ss_decisions);
+      ("propagations", int r.ss_propagations);
+      ("time_s", fixed 6 r.ss_time_s);
+    ]
 
 let write_sat_sweep_json path rows (tc : sat_sweep_run) (ti : sat_sweep_run) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      bench_stamp oc "sat-incremental-sweep";
-      output_string oc
-        (Printf.sprintf "\"seed\": %d,\n\"max_ii\": %d,\n\"kernels\": [\n" sat_sweep_seed
-           sat_sweep_max_ii);
-      List.iteri
-        (fun i (kernel, grid, mii, cold, inc) ->
-          if i > 0 then output_string oc ",\n";
-          output_string oc
-            (Printf.sprintf
-               "{\"kernel\": \"%s\", \"grid\": \"%dx%d\", \"mii\": %d,\n\
-               \  \"cold\": %s,\n  \"incremental\": %s,\n\
-               \  \"same_ii\": %b, \"conflicts_reduced\": %b, \"time_reduced\": %b}"
-               (json_escape kernel) grid grid mii (sat_sweep_json_run cold)
-               (sat_sweep_json_run inc)
-               (cold.ss_ii = inc.ss_ii)
-               (inc.ss_conflicts < cold.ss_conflicts)
-               (inc.ss_time_s < cold.ss_time_s)))
-        rows;
-      output_string oc
-        (Printf.sprintf
-           "\n],\n\"totals\": {\"cold\": %s,\n\"incremental\": %s,\n\
-            \"conflicts_reduced\": %b, \"time_reduced\": %b}\n}\n"
-           (sat_sweep_json_run tc) (sat_sweep_json_run ti)
-           (ti.ss_conflicts < tc.ss_conflicts)
-           (ti.ss_time_s < tc.ss_time_s)))
+  let verdicts cold inc =
+    [
+      ("conflicts_reduced", Json.Bool (inc.ss_conflicts < cold.ss_conflicts));
+      ("time_reduced", Json.Bool (inc.ss_time_s < cold.ss_time_s));
+    ]
+  in
+  write_snapshot path "sat-incremental-sweep"
+    [
+      ("seed", int sat_sweep_seed);
+      ("max_ii", int sat_sweep_max_ii);
+      ( "kernels",
+        Json.Arr
+          (List.map
+             (fun (kernel, grid, mii, cold, inc) ->
+               Json.Obj
+                 ([
+                    ("kernel", Json.Str kernel);
+                    ("grid", Json.Str (Printf.sprintf "%dx%d" grid grid));
+                    ("mii", int mii);
+                    ("cold", sat_sweep_json_run cold);
+                    ("incremental", sat_sweep_json_run inc);
+                    ("same_ii", Json.Bool (cold.ss_ii = inc.ss_ii));
+                  ]
+                 @ verdicts cold inc))
+             rows) );
+      ( "totals",
+        Json.Obj
+          ([ ("cold", sat_sweep_json_run tc); ("incremental", sat_sweep_json_run ti) ]
+          @ verdicts tc ti) );
+    ]
 
 let sat_sweep_bench () =
   section "Incremental SAT II sweep: one shared solver vs cold per candidate II";
@@ -1234,35 +1238,42 @@ let serve_bench () =
      %d demotions, cache %d entries\n"
     s.Svc.requests s.Svc.hits s.Svc.iso_hits s.Svc.repair_hits s.Svc.misses s.Svc.rejections
     s.Svc.coalesced s.Svc.demotions s.Svc.entries;
-  let oc = open_out "BENCH_PR10.json" in
-  bench_stamp oc "serve";
-  output_string oc
-    (Printf.sprintf "\"seed\": %d,\n\"chunk\": %d,\n\"requests\": %d,\n" serve_seed serve_chunk
-       s.Svc.requests);
-  output_string oc
-    (Printf.sprintf
-       "\"counts\": {\"hits\": %d, \"iso_hits\": %d, \"repair_hits\": %d, \"misses\": %d, \
-        \"rejections\": %d, \"coalesced\": %d, \"demotions\": %d, \"entries\": %d, \
-        \"evictions\": %d},\n"
-       s.Svc.hits s.Svc.iso_hits s.Svc.repair_hits s.Svc.misses s.Svc.rejections s.Svc.coalesced
-       s.Svc.demotions s.Svc.entries s.Svc.evictions);
-  output_string oc
-    (Printf.sprintf "\"rungs\": {%s},\n"
-       (String.concat ", "
+  write_snapshot "BENCH_PR10.json" "serve"
+    [
+      ("seed", int serve_seed);
+      ("chunk", int serve_chunk);
+      ("requests", int s.Svc.requests);
+      ( "counts",
+        Json.Obj
+          [
+            ("hits", int s.Svc.hits);
+            ("iso_hits", int s.Svc.iso_hits);
+            ("repair_hits", int s.Svc.repair_hits);
+            ("misses", int s.Svc.misses);
+            ("rejections", int s.Svc.rejections);
+            ("coalesced", int s.Svc.coalesced);
+            ("demotions", int s.Svc.demotions);
+            ("entries", int s.Svc.entries);
+            ("evictions", int s.Svc.evictions);
+          ] );
+      ( "rungs",
+        Json.Obj
           (List.map
-             (fun r ->
-               Printf.sprintf "\"%s\": %d" (json_escape r)
-                 (List.length (List.filter (( = ) r) rungs)))
-             (List.sort_uniq compare rungs))));
-  output_string oc
-    (Printf.sprintf
-       "\"latency\": {\"hit_median_s\": %.9f, \"hit_p90_s\": %.9f, \"iso_hit_median_s\": %.9f, \
-        \"repair_median_s\": %.9f, \"cold_median_s\": %.9f, \"wall_s\": %.6f},\n"
-       (med hits) (p90 hits) (med isos) (med repairs) (med colds) wall);
-  output_string oc
-    (Printf.sprintf "\"speedup_hit_vs_cold\": %.1f,\n\"speedup_ge_100x\": %b\n}\n" speedup
-       (speedup >= 100.0));
-  close_out oc;
+             (fun r -> (r, int (List.length (List.filter (( = ) r) rungs))))
+             (List.sort_uniq compare rungs)) );
+      ( "latency",
+        Json.Obj
+          [
+            ("hit_median_s", fixed 9 (med hits));
+            ("hit_p90_s", fixed 9 (p90 hits));
+            ("iso_hit_median_s", fixed 9 (med isos));
+            ("repair_median_s", fixed 9 (med repairs));
+            ("cold_median_s", fixed 9 (med colds));
+            ("wall_s", fixed 6 wall);
+          ] );
+      ("speedup_hit_vs_cold", fixed 1 speedup);
+      ("speedup_ge_100x", Json.Bool (speedup >= 100.0));
+    ];
   print_endline "  wrote SERVE_STREAM.jsonl + BENCH_PR10.json"
 
 let run_everything () =
@@ -1287,36 +1298,8 @@ let run_everything () =
   bechamel_suite ();
   print_endline "\nAll artifacts regenerated."
 
-(* `bench diff BASELINE CANDIDATE` — the same snapshot-diff engine as
-   `ocgra report`, exposed where the snapshots are produced.  Exit 1
-   on regression, 2 on unreadable/mismatched snapshots. *)
-let bench_diff paths =
-  let module D = Ocgra_obs.Bench_diff in
-  match paths with
-  | [ base_path; cand_path ] -> (
-      let load path =
-        match D.load path with
-        | Ok s -> s
-        | Error e ->
-            Printf.eprintf "bench diff: %s\n" e;
-            exit 2
-      in
-      let baseline = load base_path and candidate = load cand_path in
-      match D.diff ~baseline ~candidate () with
-      | Error e ->
-          Printf.eprintf "bench diff: %s\n" e;
-          exit 2
-      | Ok r ->
-          print_string (D.render_human r);
-          if r.D.structural <> [] then exit 2 else if r.D.regressions <> [] then exit 1)
-  | _ ->
-      prerr_endline "usage: bench/main.exe -- diff BASELINE.json CANDIDATE.json";
-      exit 2
-
 let () =
-  if List.mem "diff" args then
-    bench_diff (List.filter (fun a -> a <> "diff") args)
-  else if t1b_only then begin
+  if t1b_only then begin
     t1b ();
     print_endline "\nEmpirical sweep regenerated."
   end

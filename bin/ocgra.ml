@@ -548,50 +548,8 @@ let serve_cmd =
     let emit line =
       match journal with Some j -> Ocgra_par.Journal.append j line | None -> print_endline line
     in
-    let errors = ref 0 in
     let t0 = Ocgra_core.Deadline.now () in
-    (* classify each line, then serve batch-by-batch; responses keep
-       input order, with error responses interleaved back in place *)
-    let items =
-      List.mapi
-        (fun i line ->
-          match Ocgra_svc.Wire.parse_req line with
-          | Ok r -> (
-              match Ocgra_svc.Wire.to_request ~lookup r with
-              | Ok req -> Ok req
-              | Error msg ->
-                  incr errors;
-                  Error (Ocgra_svc.Wire.error_to_json ~id:r.Ocgra_svc.Wire.id msg))
-          | Error msg ->
-              incr errors;
-              Error
-                (Ocgra_svc.Wire.error_to_json
-                   ~id:(Ocgra_svc.Wire.salvage_id ~line:(i + 1) line)
-                   msg))
-        lines
-    in
-    let rec chunks = function
-      | [] -> ()
-      | rest ->
-          let n = List.length rest in
-          let take = min batch n in
-          let chunk = List.filteri (fun i _ -> i < take) rest in
-          let rest = List.filteri (fun i _ -> i >= take) rest in
-          let reqs = List.filter_map (function Ok r -> Some r | Error _ -> None) chunk in
-          let resps = ref (Ocgra_svc.Svc.submit_batch svc reqs) in
-          List.iter
-            (function
-              | Error line -> emit line
-              | Ok _ -> (
-                  match !resps with
-                  | r :: tl ->
-                      resps := tl;
-                      emit (Ocgra_svc.Wire.response_to_json r)
-                  | [] -> ()))
-            chunk;
-          chunks rest
-    in
-    chunks items;
+    let errors = Ocgra_svc.Wire.serve_lines ~lookup ~batch svc lines emit in
     Option.iter Ocgra_par.Journal.close journal;
     let s = Ocgra_svc.Svc.stats svc in
     let summary =
@@ -601,12 +559,12 @@ let serve_cmd =
         (List.length lines)
         (Ocgra_core.Deadline.now () -. t0)
         s.Ocgra_svc.Svc.hits s.Ocgra_svc.Svc.iso_hits s.Ocgra_svc.Svc.repair_hits
-        s.Ocgra_svc.Svc.misses s.Ocgra_svc.Svc.rejections !errors s.Ocgra_svc.Svc.entries
+        s.Ocgra_svc.Svc.misses s.Ocgra_svc.Svc.rejections errors s.Ocgra_svc.Svc.entries
         cache_cap s.Ocgra_svc.Svc.evictions s.Ocgra_svc.Svc.coalesced s.Ocgra_svc.Svc.demotions
     in
     if to_stdout then prerr_endline summary else print_endline summary;
     write_obs obs trace metrics events;
-    if !errors > 0 then exit 1
+    if errors > 0 then exit 1
   in
   let input_t =
     Arg.(

@@ -41,10 +41,8 @@ let load path =
       match Json.parse text with
       | Error e -> Error (Printf.sprintf "%s: %s" path e)
       | Ok root -> (
-          match (Json.member "schema" root, Json.member "bench" root) with
-          | Some (Json.Num schema), Some (Json.Str bench)
-            when Float.is_integer schema ->
-              Ok { path; schema = int_of_float schema; bench; root }
+          match (Json.field "schema" Json.int root, Json.field "bench" Json.string root) with
+          | Ok schema, Ok bench -> Ok { path; schema; bench; root }
           | _ ->
               Error
                 (Printf.sprintf
@@ -232,42 +230,31 @@ let render_human r =
   Buffer.contents b
 
 let render_json r =
-  let b = Buffer.create 1024 in
-  let str s = Export.buf_add_json_string b s in
-  Buffer.add_string b "{\n\"bench\": ";
-  str r.bench;
-  Buffer.add_string b (Printf.sprintf ",\n\"schema\": %d,\n\"baseline\": " r.schema);
-  str r.baseline;
-  Buffer.add_string b ",\n\"candidate\": ";
-  str r.candidate;
-  Buffer.add_string b (Printf.sprintf ",\n\"checked\": %d,\n\"ok\": %b" r.checked (ok r));
-  let findings name fs =
-    Buffer.add_string b (Printf.sprintf ",\n\"%s\": [" name);
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b "\n{\"path\": ";
-        str f.at;
-        Buffer.add_string b ", \"class\": ";
-        str (cls_name f.cls);
-        let num v =
-          if Float.is_finite v then Printf.sprintf "%g" v
-          else if v > 0.0 then "\"inf\""
-          else "\"-inf\""
-        in
-        Buffer.add_string b
-          (Printf.sprintf ", \"base\": %s, \"candidate\": %s, \"rel\": %s}" (num f.base)
-             (num f.cand) (num f.rel)))
-      fs;
-    Buffer.add_string b "]"
+  (* infinities (a mapping that appeared or vanished) have no JSON number *)
+  let num v =
+    if Float.is_finite v then Json.Num v else Json.Str (if v > 0.0 then "inf" else "-inf")
   in
-  findings "regressions" r.regressions;
-  findings "improvements" r.improvements;
-  Buffer.add_string b ",\n\"structural\": [";
-  List.iteri
-    (fun i msg ->
-      if i > 0 then Buffer.add_string b ", ";
-      str msg)
-    r.structural;
-  Buffer.add_string b "]\n}\n";
-  Buffer.contents b
+  let finding f =
+    Json.Obj
+      [
+        ("path", Json.Str f.at);
+        ("class", Json.Str (cls_name f.cls));
+        ("base", num f.base);
+        ("candidate", num f.cand);
+        ("rel", num f.rel);
+      ]
+  in
+  Json.write
+    (Json.Obj
+       [
+         ("bench", Json.Str r.bench);
+         ("schema", Json.of_int r.schema);
+         ("baseline", Json.Str r.baseline);
+         ("candidate", Json.Str r.candidate);
+         ("checked", Json.of_int r.checked);
+         ("ok", Json.Bool (ok r));
+         ("regressions", Json.Arr (List.map finding r.regressions));
+         ("improvements", Json.Arr (List.map finding r.improvements));
+         ("structural", Json.Arr (List.map (fun m -> Json.Str m) r.structural));
+       ])
+  ^ "\n"

@@ -1,5 +1,5 @@
 (** Regression diffing over [BENCH_*.json] snapshots — the engine
-    behind [ocgra report] and [bench diff].
+    behind [ocgra report].
 
     Snapshots must carry a top-level ["schema"] version and ["bench"]
     name; {!diff} refuses mismatched pairs.  Leaves are classified by

@@ -10,52 +10,36 @@
    sorted-name order with integer values only, so two runs that did
    the same work produce byte-identical dumps. *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let int = Json.of_int
+
+(* seconds -> microseconds, to the nanosecond *)
+let us s = Json.Num (Float.round (s *. 1e9) /. 1e3)
 
 let chrome_trace (t : Trace.t) =
-  let b = Buffer.create 4096 in
   let epoch = Trace.epoch t in
-  let us s = (s *. 1e6 : float) in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i (s : Trace.span) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n{\"name\":";
-      buf_add_json_string b s.name;
-      Buffer.add_string b ",\"cat\":";
-      buf_add_json_string b (if s.cat = "" then "ocgra" else s.cat);
-      Buffer.add_string b
-        (Printf.sprintf ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d"
-           (us (s.ts -. epoch)) (us s.dur) s.tid);
-      (match s.args with
-      | [] -> ()
-      | args ->
-          Buffer.add_string b ",\"args\":{";
-          List.iteri
-            (fun j (k, v) ->
-              if j > 0 then Buffer.add_char b ',';
-              buf_add_json_string b k;
-              Buffer.add_char b ':';
-              buf_add_json_string b v)
-            args;
-          Buffer.add_char b '}');
-      Buffer.add_char b '}')
-    (Trace.spans t);
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+  let event (s : Trace.span) =
+    Json.Obj
+      ([
+         ("name", Json.Str s.name);
+         ("cat", Json.Str (if s.cat = "" then "ocgra" else s.cat));
+         ("ph", Json.Str "X");
+         ("ts", us (s.ts -. epoch));
+         ("dur", us s.dur);
+         ("pid", int 1);
+         ("tid", int s.tid);
+       ]
+      @
+      match s.args with
+      | [] -> []
+      | args -> [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) args)) ])
+  in
+  Json.write
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.map event (Trace.spans t)));
+         ("displayTimeUnit", Json.Str "ms");
+       ])
+  ^ "\n"
 
 (* Counters and histogram summaries share one name-sorted integer key
    space: histogram [h] contributes [h.count/.max/.p50/...], so the
@@ -64,17 +48,8 @@ let metrics_kvs ?(hists = Hist.off) m =
   List.sort (fun (a, _) (b, _) -> compare a b) (Metrics.dump m @ Hist.summary_kvs hists)
 
 let metrics_json ?hists (m : Metrics.t) =
-  let b = Buffer.create 1024 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n";
-      buf_add_json_string b name;
-      Buffer.add_string b (Printf.sprintf ": %d" v))
-    (metrics_kvs ?hists m);
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  Json.write (Json.Obj (List.map (fun (name, v) -> (name, int v)) (metrics_kvs ?hists m)))
+  ^ "\n"
 
 let metrics_kv ?hists (m : Metrics.t) =
   let b = Buffer.create 1024 in
@@ -89,20 +64,14 @@ let metrics_kv ?hists (m : Metrics.t) =
 let events_jsonl (e : Events.t) =
   let b = Buffer.create 1024 in
   let add_event seq cat name args =
-    Buffer.add_string b (Printf.sprintf "{\"seq\":%d,\"cat\":" seq);
-    buf_add_json_string b cat;
-    Buffer.add_string b ",\"ev\":";
-    buf_add_json_string b name;
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_char b ',';
-        buf_add_json_string b k;
-        Buffer.add_char b ':';
-        match (v : Events.value) with
-        | Events.Int n -> Buffer.add_string b (string_of_int n)
-        | Events.Str s -> buf_add_json_string b s)
-      args;
-    Buffer.add_string b "}\n"
+    Json.to_buffer b
+      (Json.Obj
+         (("seq", int seq) :: ("cat", Json.Str cat) :: ("ev", Json.Str name)
+         :: List.map
+              (fun (k, (v : Events.value)) ->
+                (k, match v with Events.Int n -> int n | Events.Str s -> Json.Str s))
+              args));
+    Buffer.add_char b '\n'
   in
   List.iter (fun (ev : Events.event) -> add_event ev.seq ev.cat ev.name ev.args) (Events.events e);
   let dropped = Events.dropped e in

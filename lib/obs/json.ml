@@ -1,11 +1,12 @@
-(* Minimal recursive-descent JSON (RFC 8259) reader.
+(* The tree's one JSON (RFC 8259) codec.
 
-   The tree keeps its own JSON writers hand-rolled (deterministic
-   byte-level control, no dependency); this is the matching reader,
-   needed only off the hot path — loading BENCH_*.json snapshots for
-   the regression gate.  Object member order is preserved; numbers
-   are floats (bench snapshots hold nothing outside the exact float
-   range). *)
+   Reader: recursive descent over the whole input; every malformed
+   input is an [Error] naming the byte offset, never an exception.
+   Writer: compact, member order preserved, with the tree's only
+   string escaper.  Decoders: small [Result] combinators (required
+   field, optional field with a default, list, scalar leaves) whose
+   errors name the field, so callers decode outside input without
+   hand-written per-field matching. *)
 
 type t =
   | Null
@@ -45,9 +46,19 @@ let parse (s : string) : (t, string) result =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> fail "\\u escape needs four hex digits"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let utf8_add b cp =
     (* encode one scalar; lone surrogates pass through as-is, which is
@@ -123,7 +134,9 @@ let parse (s : string) : (t, string) result =
     | _ -> ());
     Num (float_of_string (String.sub s start (!pos - start)))
   in
-  let rec value () =
+  (* nesting is bounded so a hostile line cannot exhaust the stack *)
+  let rec value depth =
+    if depth > 512 then fail "nesting too deep";
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -140,7 +153,7 @@ let parse (s : string) : (t, string) result =
             let k = string_body () in
             skip_ws ();
             expect ':';
-            let v = value () in
+            let v = value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -162,7 +175,7 @@ let parse (s : string) : (t, string) result =
         end
         else begin
           let rec elems acc =
-            let v = value () in
+            let v = value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -183,7 +196,7 @@ let parse (s : string) : (t, string) result =
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   match
-    let v = value () in
+    let v = value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage after value";
     v
@@ -191,24 +204,110 @@ let parse (s : string) : (t, string) result =
   | v -> Ok v
   | exception Fail (at, msg) -> Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg)
 
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+(* ---------- writer ---------- *)
 
-let to_float = function
-  | Num f -> Some f
-  | _ -> None
+let add_string b s =
+  Buffer.add_char b '"';
+  let start = ref 0 in
+  String.iteri
+    (fun i c ->
+      if c = '"' || c = '\\' || Char.code c < 0x20 then begin
+        Buffer.add_substring b s !start (i - !start);
+        start := i + 1;
+        Buffer.add_string b
+          (match c with
+          | '"' -> "\\\""
+          | '\\' -> "\\\\"
+          | '\n' -> "\\n"
+          | '\r' -> "\\r"
+          | '\t' -> "\\t"
+          | c -> Printf.sprintf "\\u%04x" (Char.code c))
+      end)
+    s;
+  Buffer.add_substring b s !start (String.length s - !start);
+  Buffer.add_char b '"'
 
-let to_string = function
-  | Str s -> Some s
-  | _ -> None
+(* Shortest of 15/16/17 significant digits that reads back exactly:
+   if a shorter decimal round-tripped, so would the nearest 15-digit
+   one, and %g drops trailing zeros. *)
+let add_num b f =
+  if Float.is_integer f && Float.abs f <= 0x1p53 then
+    Buffer.add_string b (string_of_int (int_of_float f))
+  else if Float.is_finite f then begin
+    let exact s = float_of_string s = f in
+    let s = Printf.sprintf "%.15g" f in
+    Buffer.add_string b
+      (if exact s then s
+       else
+         let s = Printf.sprintf "%.16g" f in
+         if exact s then s else Printf.sprintf "%.17g" f)
+  end
+  else Buffer.add_string b "null"
 
-let to_int = function
-  | Num f when Float.is_integer f && Float.abs f <= 2.0 ** 53.0 -> Some (int_of_float f)
-  | _ -> None
+let rec to_buffer b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Num f -> add_num b f
+  | Str s -> add_string b s
+  | Arr xs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ',';
+          to_buffer b x)
+        xs;
+      Buffer.add_char b ']'
+  | Obj kvs ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_string b k;
+          Buffer.add_char b ':';
+          to_buffer b v)
+        kvs;
+      Buffer.add_char b '}'
 
-let to_bool = function
-  | Bool b -> Some b
-  | _ -> None
+let write v =
+  let b = Buffer.create 256 in
+  to_buffer b v;
+  Buffer.contents b
 
-let to_list = function
-  | Arr xs -> Some xs
-  | _ -> None
+let of_int n = Num (float_of_int n)
+
+(* ---------- decoders ---------- *)
+
+type 'a decoder = t -> ('a, string) result
+
+let int = function
+  | Num f when Float.is_integer f && Float.abs f <= 0x1p53 -> Ok (int_of_float f)
+  | _ -> Error "expected an integer"
+
+let float = function Num f -> Ok f | _ -> Error "expected a number"
+let bool = function Bool x -> Ok x | _ -> Error "expected a bool"
+let string = function Str s -> Ok s | _ -> Error "expected a string"
+
+let list d = function
+  | Arr xs ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | x :: rest -> ( match d x with Ok y -> go (y :: acc) rest | Error e -> Error e)
+      in
+      go [] xs
+  | _ -> Error "expected an array"
+
+let in_field name = function
+  | Ok _ as ok -> ok
+  | Error e -> Error (Printf.sprintf "field %S: %s" name e)
+
+let field name d = function
+  | Obj kvs -> (
+      match List.assoc_opt name kvs with
+      | Some v -> in_field name (d v)
+      | None -> Error (Printf.sprintf "missing field %S" name))
+  | _ -> Error "expected an object"
+
+let opt name d ~default = function
+  | Obj kvs -> (
+      match List.assoc_opt name kvs with Some v -> in_field name (d v) | None -> Ok default)
+  | _ -> Error "expected an object"

@@ -92,32 +92,56 @@ let classify (p : Problem.t) (m : Mapping.t) ~io ~iters ~expected ~transients =
 
 (* ---------- checkpoint journal ---------- *)
 
+module Json = Ocgra_obs.Json
+
 type checkpoint = { path : string; resume : bool }
 
 (* One header line pins the campaign identity; one line per completed
-   trial carries everything the fold needs.  Both are single-line JSON
-   emitted with fixed field order, so resume can demand *exact* header
-   equality and parse trial lines with one Scanf format — no JSON
-   dependency, no ambiguity about what an old journal "roughly"
-   matches.  %h prints floats in hex notation: lossless, so a rate
-   never changes identity across write/read. *)
+   trial carries everything the fold needs.  Both are compact JSON
+   with fixed member order, so resume can demand *exact* header
+   equality.  Floats print shortest-round-trip, so a rate never
+   changes identity across write/read; seeds are 62-bit, past the
+   exact range of a JSON number, so they travel as decimal strings. *)
 let journal_header ~trials ~rate ~seed ~iters =
-  Printf.sprintf "{\"campaign\": {\"trials\": %d, \"rate\": \"%h\", \"seed\": %d, \"iters\": %d}}"
-    trials rate seed iters
+  Json.write
+    (Json.Obj
+       [
+         ( "campaign",
+           Json.Obj
+             [
+               ("trials", Json.of_int trials);
+               ("rate", Json.Num rate);
+               ("seed", Json.Str (string_of_int seed));
+               ("iters", Json.of_int iters);
+             ] );
+       ])
 
 let journal_trial_line ~trial ~tseed (cls, injected, applied) =
-  Printf.sprintf "{\"trial\": %d, \"seed\": %d, \"class\": \"%s\", \"injected\": %d, \"applied\": %d}"
-    trial tseed (trial_class_to_string cls) injected applied
+  Json.write
+    (Json.Obj
+       [
+         ("trial", Json.of_int trial);
+         ("seed", Json.Str (string_of_int tseed));
+         ("class", Json.Str (trial_class_to_string cls));
+         ("injected", Json.of_int injected);
+         ("applied", Json.of_int applied);
+       ])
 
 let parse_trial_line line =
-  match
-    Scanf.sscanf line
-      "{\"trial\": %d, \"seed\": %d, \"class\": \"%[a-z]\", \"injected\": %d, \"applied\": %d}"
-      (fun t s c i a -> (t, s, c, i, a))
-  with
-  | exception _ -> None (* torn tail of a crashed run: absent work, not an error *)
-  | t, s, c, i, a -> (
-      match trial_class_of_string c with None -> None | Some cls -> Some (t, s, (cls, i, a)))
+  let ( let* ) = Result.bind in
+  let decoded =
+    let* v = Json.parse line in
+    let* t = Json.field "trial" Json.int v in
+    let* s = Json.field "seed" Json.string v in
+    let* c = Json.field "class" Json.string v in
+    let* i = Json.field "injected" Json.int v in
+    let* a = Json.field "applied" Json.int v in
+    match (int_of_string_opt s, trial_class_of_string c) with
+    | Some s, Some cls -> Ok (t, s, (cls, i, a))
+    | _ -> Error "bad seed or class"
+  in
+  (* a torn tail of a crashed run is absent work, not an error *)
+  Result.to_option decoded
 
 (* [mk_io] must build a *fresh* io per trial: Store ops mutate the
    memory arrays, and a corrupted trial must not leak state into the

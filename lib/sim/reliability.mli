@@ -62,6 +62,11 @@ val classify :
     its journal produces a byte-identical report. *)
 type checkpoint = { path : string; resume : bool }
 
+(** Decode one journaled trial line into [(trial, seed, (class,
+    injected, applied))]; [None] for anything else (a torn tail, a
+    header, garbage).  Never raises. *)
+val parse_trial_line : string -> (int * int * (trial_class * int * int)) option
+
 (** [run_campaign p m ~mk_io ~iters ~expected ~trials ~rate ~seed]
     executes [trials] independent seeded trials at per-(PE, cycle)
     event probability [rate], sharded across [workers] domains

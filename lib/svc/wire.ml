@@ -1,10 +1,8 @@
-(* JSONL wire codec for the mapping daemon.
-
-   The reader rides on [Ocgra_obs.Json] (the same recursive-descent
-   parser the bench regression gate uses); the writer is the tree's
-   usual hand-rolled Buffer style via [Export.buf_add_json_string].
-   Every parse failure is a value, not an exception: the daemon owes a
-   per-line error *response* on malformed input, never a crash. *)
+(* JSONL wire codec for the mapping daemon, written and read through
+   [Ocgra_obs.Json] (the codec every other JSON producer and consumer
+   in the tree shares).  Every parse failure is a value, not an
+   exception: the daemon owes a per-line error *response* on malformed
+   input, never a crash. *)
 
 module Dfg = Ocgra_dfg.Dfg
 module Op = Ocgra_dfg.Op
@@ -14,7 +12,6 @@ module Topology = Ocgra_arch.Topology
 module Mapping = Ocgra_core.Mapping
 module Mapper = Ocgra_core.Mapper
 module Json = Ocgra_obs.Json
-module Export = Ocgra_obs.Export
 
 type payload = Kernel of string | Inline of Dfg.t
 
@@ -83,129 +80,71 @@ let op_of_code s =
           | Some b -> Ok (Op.Binop b)
           | None -> Error (Printf.sprintf "unknown op %S" s)))
 
-(* ---------- writers ---------- *)
+(* ---------- requests ---------- *)
 
-let buf_str = Export.buf_add_json_string
+let int = Json.of_int
+let ints l = Json.Arr (List.map int l)
 
-let buf_dfg b d =
-  Buffer.add_string b "{\"nodes\":[";
-  for i = 0 to Dfg.node_count d - 1 do
-    if i > 0 then Buffer.add_char b ',';
-    Buffer.add_string b "{\"op\":";
-    buf_str b (Op.to_string (Dfg.op d i));
-    let name = Dfg.name d i in
-    if name <> "" then begin
-      Buffer.add_string b ",\"name\":";
-      buf_str b name
-    end;
-    Buffer.add_char b '}'
-  done;
-  Buffer.add_string b "],\"edges\":[";
-  List.iteri
-    (fun i (e : Dfg.edge) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "[%d,%d,%d,%d]" e.Dfg.src e.Dfg.dst e.Dfg.port e.Dfg.dist))
-    (Dfg.edges d);
-  Buffer.add_string b "]}"
+let dfg_to_json d =
+  Json.Obj
+    [
+      ( "nodes",
+        Json.Arr
+          (List.init (Dfg.node_count d) (fun i ->
+               let op = ("op", Json.Str (Op.to_string (Dfg.op d i))) in
+               match Dfg.name d i with
+               | "" -> Json.Obj [ op ]
+               | name -> Json.Obj [ op; ("name", Json.Str name) ])) );
+      ( "edges",
+        Json.Arr
+          (List.map
+             (fun (e : Dfg.edge) -> ints [ e.Dfg.src; e.Dfg.dst; e.Dfg.port; e.Dfg.dist ])
+             (Dfg.edges d)) );
+    ]
 
-let buf_fault b = function
-  | Fault.Pe_down pe -> Buffer.add_string b (Printf.sprintf "[\"pe\",%d]" pe)
-  | Fault.Link_down (s, d) -> Buffer.add_string b (Printf.sprintf "[\"link\",%d,%d]" s d)
-  | Fault.Fu_slot_dead (pe, slot) ->
-      Buffer.add_string b (Printf.sprintf "[\"slot\",%d,%d]" pe slot)
-  | Fault.Rf_reduced (pe, lost) ->
-      Buffer.add_string b (Printf.sprintf "[\"rf\",%d,%d]" pe lost)
+let fault_to_json f =
+  let kind, coords =
+    match f with
+    | Fault.Pe_down pe -> ("pe", [ pe ])
+    | Fault.Link_down (s, d) -> ("link", [ s; d ])
+    | Fault.Fu_slot_dead (pe, slot) -> ("slot", [ pe; slot ])
+    | Fault.Rf_reduced (pe, lost) -> ("rf", [ pe; lost ])
+  in
+  Json.Arr (Json.Str kind :: List.map int coords)
 
+(* members at their default are left out, so a minimal request stays
+   minimal on the wire *)
 let req_to_json r =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b r.id;
-  (match r.payload with
-  | Kernel name ->
-      Buffer.add_string b ",\"kernel\":";
-      buf_str b name
-  | Inline d ->
-      Buffer.add_string b ",\"dfg\":";
-      buf_dfg b d);
-  Buffer.add_string b (Printf.sprintf ",\"rows\":%d,\"cols\":%d" r.rows r.cols);
-  if r.topology <> "mesh" then begin
-    Buffer.add_string b ",\"topology\":";
-    buf_str b r.topology
-  end;
-  if r.hetero then Buffer.add_string b ",\"hetero\":true";
-  (match r.rf with
-  | Some rf -> Buffer.add_string b (Printf.sprintf ",\"rf\":%d" rf)
-  | None -> ());
-  if r.faults <> [] then begin
-    Buffer.add_string b ",\"faults\":[";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char b ',';
-        buf_fault b f)
-      (Fault.canonical r.faults);
-    Buffer.add_char b ']'
-  end;
-  if r.n_faults > 0 then
-    Buffer.add_string b
-      (Printf.sprintf ",\"n_faults\":%d,\"fault_seed\":%d" r.n_faults r.fault_seed);
-  if r.spatial then Buffer.add_string b ",\"spatial\":true";
-  (match r.max_ii with
-  | Some ii -> Buffer.add_string b (Printf.sprintf ",\"max_ii\":%d" ii)
-  | None -> ());
-  Buffer.add_char b '}';
-  Buffer.contents b
-
-(* ---------- readers ---------- *)
+  let only cond member = if cond then [ member ] else [] in
+  Json.write
+    (Json.Obj
+       (List.concat
+          [
+            [ ("id", Json.Str r.id) ];
+            [
+              (match r.payload with
+              | Kernel name -> ("kernel", Json.Str name)
+              | Inline d -> ("dfg", dfg_to_json d));
+            ];
+            [ ("rows", int r.rows); ("cols", int r.cols) ];
+            only (r.topology <> "mesh") ("topology", Json.Str r.topology);
+            only r.hetero ("hetero", Json.Bool true);
+            (match r.rf with Some rf -> [ ("rf", int rf) ] | None -> []);
+            only (r.faults <> [])
+              ("faults", Json.Arr (List.map fault_to_json (Fault.canonical r.faults)));
+            (if r.n_faults > 0 then
+               [ ("n_faults", int r.n_faults); ("fault_seed", int r.fault_seed) ]
+             else []);
+            only r.spatial ("spatial", Json.Bool true);
+            (match r.max_ii with Some ii -> [ ("max_ii", int ii) ] | None -> []);
+          ]))
 
 let ( let* ) = Result.bind
 
-let field_int obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected an integer" name))
-
-let field_bool obj name default =
-  match Json.member name obj with
-  | None -> Ok default
-  | Some v -> (
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %S: expected a bool" name))
-
-let field_str_opt obj name =
-  match Json.member name obj with
-  | None -> Ok None
-  | Some v -> (
-      match Json.to_string v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "field %S: expected a string" name))
-
-let int_list name v =
-  match Json.to_list v with
-  | None -> Error (Printf.sprintf "%s: expected an array" name)
-  | Some xs ->
-      List.fold_left
-        (fun acc x ->
-          let* acc = acc in
-          match Json.to_int x with
-          | Some i -> Ok (i :: acc)
-          | None -> Error (Printf.sprintf "%s: expected integers" name))
-        (Ok []) xs
-      |> Result.map List.rev
-
 let parse_fault v =
-  match Json.to_list v with
-  | Some (kind :: coords) -> (
-      let* kind =
-        match Json.to_string kind with
-        | Some s -> Ok s
-        | None -> Error "fault: kind must be a string"
-      in
-      let* coords = int_list "fault coordinates" (Json.Arr coords) in
+  match v with
+  | Json.Arr (Json.Str kind :: coords) -> (
+      let* coords = Json.list Json.int (Json.Arr coords) in
       match (kind, coords) with
       | "pe", [ pe ] -> Ok (Fault.Pe_down pe)
       | "link", [ s; d ] -> Ok (Fault.Link_down (s, d))
@@ -216,114 +155,49 @@ let parse_fault v =
 
 let parse_dfg v =
   let d = Dfg.create () in
-  let* nodes =
-    match Json.member "nodes" v with
-    | Some n -> (
-        match Json.to_list n with
-        | Some xs -> Ok xs
-        | None -> Error "dfg.nodes: expected an array")
-    | None -> Error "dfg: missing nodes"
+  let node v =
+    let* code = Json.field "op" Json.string v in
+    let* op = op_of_code code in
+    let* name = Json.opt "name" Json.string ~default:"" v in
+    ignore (Dfg.add ~name d op);
+    Ok ()
   in
-  let* () =
-    List.fold_left
-      (fun acc node ->
-        let* () = acc in
-        let* code =
-          match Json.member "op" node with
-          | Some (Json.Str s) -> Ok s
-          | _ -> Error "dfg node: missing op"
-        in
-        let* op = op_of_code code in
-        let name =
-          match Json.member "name" node with Some (Json.Str s) -> s | _ -> ""
-        in
-        ignore (Dfg.add ~name d op);
-        Ok ())
-      (Ok ()) nodes
-  in
-  let* edges =
-    match Json.member "edges" v with
-    | Some e -> (
-        match Json.to_list e with
-        | Some xs -> Ok xs
-        | None -> Error "dfg.edges: expected an array")
-    | None -> Ok []
-  in
+  let* _ = Json.field "nodes" (Json.list node) v in
   let n = Dfg.node_count d in
-  let* () =
-    List.fold_left
-      (fun acc e ->
-        let* () = acc in
-        let* quad = int_list "dfg edge" e in
-        match quad with
-        | [ src; dst; port; dist ] ->
-            if src < 0 || src >= n || dst < 0 || dst >= n then
-              Error (Printf.sprintf "dfg edge %d->%d: node out of range" src dst)
-            else begin
-              Dfg.add_edge ~dist ~port d ~src ~dst;
-              Ok ()
-            end
-        | _ -> Error "dfg edge: expected [src,dst,port,dist]")
-      (Ok ()) edges
+  let edge v =
+    match Json.list Json.int v with
+    | Ok [ src; dst; port; dist ] ->
+        if src < 0 || src >= n || dst < 0 || dst >= n then
+          Error (Printf.sprintf "dfg edge %d->%d: node out of range" src dst)
+        else Ok (Dfg.add_edge ~dist ~port d ~src ~dst)
+    | Ok _ -> Error "dfg edge: expected [src,dst,port,dist]"
+    | Error e -> Error e
   in
+  let* _ = Json.opt "edges" (Json.list edge) ~default:[] v in
   Ok d
 
 let parse_req line =
   let* obj = Json.parse line in
-  let* () = match obj with Json.Obj _ -> Ok () | _ -> Error "expected a JSON object" in
-  let* id =
-    match Json.member "id" obj with
-    | Some (Json.Str s) -> Ok s
-    | _ -> Error "missing string field \"id\""
-  in
+  let* kvs = match obj with Json.Obj kvs -> Ok kvs | _ -> Error "expected a JSON object" in
+  let* id = Json.field "id" Json.string obj in
   let* payload =
-    match (Json.member "kernel" obj, Json.member "dfg" obj) with
-    | Some (Json.Str k), None -> Ok (Kernel k)
-    | None, Some d ->
-        let* d = parse_dfg d in
-        Ok (Inline d)
-    | Some _, Some _ -> Error "give either \"kernel\" or \"dfg\", not both"
-    | _ -> Error "missing payload: \"kernel\" or \"dfg\""
+    match (List.mem_assoc "kernel" kvs, List.mem_assoc "dfg" kvs) with
+    | true, true -> Error "give either \"kernel\" or \"dfg\", not both"
+    | true, false -> Result.map (fun k -> Kernel k) (Json.field "kernel" Json.string obj)
+    | false, true -> Result.map (fun d -> Inline d) (Json.field "dfg" parse_dfg obj)
+    | false, false -> Error "missing payload: \"kernel\" or \"dfg\""
   in
-  let* rows = field_int obj "rows" default_req.rows in
-  let* cols = field_int obj "cols" default_req.cols in
-  let* topology = field_str_opt obj "topology" in
-  let topology = Option.value topology ~default:default_req.topology in
-  let* hetero = field_bool obj "hetero" default_req.hetero in
-  let* rf =
-    match Json.member "rf" obj with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok (Some i)
-        | None -> Error "field \"rf\": expected an integer")
-  in
-  let* faults =
-    match Json.member "faults" obj with
-    | None -> Ok []
-    | Some v -> (
-        match Json.to_list v with
-        | None -> Error "field \"faults\": expected an array"
-        | Some xs ->
-            List.fold_left
-              (fun acc f ->
-                let* acc = acc in
-                let* f = parse_fault f in
-                Ok (f :: acc))
-              (Ok []) xs
-            |> Result.map List.rev)
-  in
-  let* n_faults = field_int obj "n_faults" 0 in
-  let* fault_seed = field_int obj "fault_seed" default_req.fault_seed in
-  let* spatial = field_bool obj "spatial" false in
-  let* max_ii =
-    match Json.member "max_ii" obj with
-    | None -> Ok None
-    | Some v -> (
-        match Json.to_int v with
-        | Some i -> Ok (Some i)
-        | None -> Error "field \"max_ii\": expected an integer")
-  in
+  let some d v = Result.map Option.some (d v) in
+  let* rows = Json.opt "rows" Json.int ~default:default_req.rows obj in
+  let* cols = Json.opt "cols" Json.int ~default:default_req.cols obj in
+  let* topology = Json.opt "topology" Json.string ~default:default_req.topology obj in
+  let* hetero = Json.opt "hetero" Json.bool ~default:default_req.hetero obj in
+  let* rf = Json.opt "rf" (some Json.int) ~default:None obj in
+  let* faults = Json.opt "faults" (Json.list parse_fault) ~default:[] obj in
+  let* n_faults = Json.opt "n_faults" Json.int ~default:0 obj in
+  let* fault_seed = Json.opt "fault_seed" Json.int ~default:default_req.fault_seed obj in
+  let* spatial = Json.opt "spatial" Json.bool ~default:false obj in
+  let* max_ii = Json.opt "max_ii" (some Json.int) ~default:None obj in
   if rows < 1 || cols < 1 then Error "rows/cols must be >= 1"
   else
     Ok
@@ -368,50 +242,78 @@ let to_request ~lookup r =
 (* ---------- responses ---------- *)
 
 let response_to_json (r : Svc.response) =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b r.Svc.id;
-  (match r.Svc.served with
-  | Svc.Rejected ->
-      Buffer.add_string b ",\"status\":\"rejected\"";
-      Buffer.add_string b ",\"note\":";
-      buf_str b r.Svc.note
-  | served ->
-      Buffer.add_string b ",\"status\":\"ok\",\"served\":";
-      buf_str b (Svc.served_to_string served);
-      (match served with
-      | Svc.Repair_hit rung ->
-          Buffer.add_string b ",\"rung\":";
-          buf_str b (Mapper.rung_to_string rung)
-      | _ -> ());
-      (match r.Svc.mapping with
-      | Some m ->
-          Buffer.add_string b (Printf.sprintf ",\"ii\":%d" m.Mapping.ii);
-          Buffer.add_string b ",\"certified\":true,\"binding\":[";
-          Array.iteri
-            (fun i (pe, cyc) ->
-              if i > 0 then Buffer.add_char b ',';
-              Buffer.add_string b (Printf.sprintf "[%d,%d]" pe cyc))
-            m.Mapping.binding;
-          Buffer.add_char b ']'
-      | None -> ());
-      Buffer.add_string b ",\"note\":";
-      buf_str b r.Svc.note);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let id = ("id", Json.Str r.Svc.id) and note = ("note", Json.Str r.Svc.note) in
+  Json.write
+    (Json.Obj
+       (match r.Svc.served with
+       | Svc.Rejected -> [ id; ("status", Json.Str "rejected"); note ]
+       | served ->
+           List.concat
+             [
+               [ id; ("status", Json.Str "ok");
+                 ("served", Json.Str (Svc.served_to_string served)) ];
+               (match served with
+               | Svc.Repair_hit rung -> [ ("rung", Json.Str (Mapper.rung_to_string rung)) ]
+               | _ -> []);
+               (match r.Svc.mapping with
+               | Some m ->
+                   [
+                     ("ii", int m.Mapping.ii);
+                     ("certified", Json.Bool true);
+                     ( "binding",
+                       Json.Arr
+                         (Array.fold_right
+                            (fun (pe, cyc) acc -> ints [ pe; cyc ] :: acc)
+                            m.Mapping.binding []) );
+                   ]
+               | None -> []);
+               [ note ];
+             ]))
 
 let error_to_json ~id msg =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"id\":";
-  buf_str b id;
-  Buffer.add_string b ",\"status\":\"error\",\"error\":";
-  buf_str b msg;
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Json.write
+    (Json.Obj [ ("id", Json.Str id); ("status", Json.Str "error"); ("error", Json.Str msg) ])
 
 let salvage_id ~line s =
-  let fallback = Printf.sprintf "line-%d" line in
-  match Json.parse s with
-  | Ok obj -> (
-      match Json.member "id" obj with Some (Json.Str id) -> id | _ -> fallback)
-  | Error _ -> fallback
+  match Result.bind (Json.parse s) (Json.field "id" Json.string) with
+  | Ok id -> id
+  | Error _ -> Printf.sprintf "line-%d" line
+
+(* Classify every line first, then serve the well-formed ones a batch
+   at a time; error responses are interleaved back in place, so the
+   output has one line per input line, in input order. *)
+let serve_lines ~lookup ~batch svc lines emit =
+  let errors = ref 0 in
+  let error id msg =
+    incr errors;
+    Error (error_to_json ~id msg)
+  in
+  let items =
+    List.mapi
+      (fun i line ->
+        match parse_req line with
+        | Ok r -> ( match to_request ~lookup r with Ok req -> Ok req | Error msg -> error r.id msg)
+        | Error msg -> error (salvage_id ~line:(i + 1) line) msg)
+      lines
+  in
+  let batch = max 1 batch in
+  let rec chunks = function
+    | [] -> ()
+    | rest ->
+        let chunk = List.filteri (fun i _ -> i < batch) rest in
+        let rest = List.filteri (fun i _ -> i >= batch) rest in
+        let resps = ref (Svc.submit_batch svc (List.filter_map Result.to_option chunk)) in
+        List.iter
+          (function
+            | Error line -> emit line
+            | Ok _ -> (
+                match !resps with
+                | r :: tl ->
+                    resps := tl;
+                    emit (response_to_json r)
+                | [] -> ()))
+          chunk;
+        chunks rest
+  in
+  chunks items;
+  !errors

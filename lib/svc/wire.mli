@@ -78,3 +78,16 @@ val error_to_json : id:string -> string -> string
 (** Best-effort id recovery from a malformed line, for the error
     response; falls back to [line-<n>]. *)
 val salvage_id : line:int -> string -> string
+
+(** Serve a request stream: one response line per input line, passed
+    to [emit] in input order.  Well-formed lines go to
+    {!Svc.submit_batch} [batch] at a time; a malformed line (or one
+    {!to_request} refuses) gets an {!error_to_json} line in its place
+    and is counted in the result. *)
+val serve_lines :
+  lookup:(string -> (Ocgra_dfg.Dfg.t, string) result) ->
+  batch:int ->
+  Svc.t ->
+  string list ->
+  (string -> unit) ->
+  int

@@ -138,16 +138,147 @@ let json_valid s =
 
 let test_json_checker_sanity () =
   (* the checker itself must reject garbage, or the exporter tests
-     prove nothing *)
+     prove nothing; [Obs.Json.parse] must agree with it both ways *)
+  let parses s = Result.is_ok (Obs.Json.parse s) in
   List.iter
-    (fun good -> checkb good true (json_valid good))
+    (fun good ->
+      checkb good true (json_valid good);
+      checkb ("Json.parse " ^ good) true (parses good))
     [
       "{}"; "[]"; "null"; "-12.5e3"; "{\"a\": [1, 2, {\"b\": \"c\\n\\u0041\"}]}";
-      " { \"x\" : true } ";
+      " { \"x\" : true } "; "\"\\u00e9\\uABCD\"";
     ];
   List.iter
-    (fun bad -> checkb bad false (json_valid bad))
-    [ ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{} extra"; "01x"; "\"bad\\q\"" ]
+    (fun bad ->
+      checkb bad false (json_valid bad);
+      checkb ("Json.parse " ^ bad) false (parses bad))
+    [
+      ""; "{"; "{\"a\":}"; "[1,]"; "tru"; "\"unterminated"; "{} extra"; "01x"; "\"bad\\q\"";
+      "\"\\uZZZZ\""; "\"\\u-123\""; "\"\\u1_23\""; "\"\\u12\"";
+      "{\"id\":\"b\\uZZZZ\",\"kernel\":\"saxpy\"}";
+    ];
+  (* valid JSON, but nested past the reader's bound: refused, not a
+     stack overflow *)
+  checkb "deep nesting refused" false (parses (String.make 1000 '[' ^ String.make 1000 ']'))
+
+(* ---------- the codec: roundtrip and byte-mutation fuzz ---------- *)
+
+let gen_json =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_range 0 12) in
+  let num =
+    oneof
+      [
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map (fun i -> float_of_int i /. 1000.0) (int_range (-1_000_000) 1_000_000);
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return Obs.Json.Null;
+               map (fun b -> Obs.Json.Bool b) bool;
+               map (fun f -> Obs.Json.Num f) num;
+               map (fun s -> Obs.Json.Str s) bytes;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.Arr l) (list_size (int_range 0 4) (self (depth - 1))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Obj l)
+                   (list_size (int_range 0 4) (pair bytes (self (depth - 1)))) );
+             ])
+
+let qcheck_json_roundtrip =
+  QCheck.Test.make ~name:"parse (write v) = Ok v" ~count:500
+    (QCheck.make ~print:Obs.Json.write gen_json)
+    (fun v -> Obs.Json.parse (Obs.Json.write v) = Ok v)
+
+(* Valid inputs of every outside-facing reader: committed request
+   lines, a stamped snapshot and a journal trial line. *)
+let fuzz_seeds =
+  let read path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let trial =
+    "{\"trial\":3,\"seed\":\"4611686018427387903\",\"class\":\"sdc\",\"injected\":2,\
+     \"applied\":1}"
+  in
+  Array.of_list
+    ((read "../BENCH_PR10.json" :: trial
+     :: String.split_on_char '\n' (read "../SERVE_STREAM.jsonl"))
+    |> List.filter (fun l -> l <> ""))
+
+type mutation = Flip of int * int | Insert of int * char | Delete of int | Truncate of int
+
+let mutate s = function
+  | _ when s = "" -> s
+  | Flip (i, bit) ->
+      let i = i mod String.length s in
+      String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor (1 lsl bit)) else c) s
+  | Insert (i, c) ->
+      let i = i mod (String.length s + 1) in
+      String.sub s 0 i ^ String.make 1 c ^ String.sub s i (String.length s - i)
+  | Delete i ->
+      let i = i mod String.length s in
+      String.sub s 0 i ^ String.sub s (i + 1) (String.length s - i - 1)
+  | Truncate i -> String.sub s 0 (i mod String.length s)
+
+let gen_mutated =
+  let open QCheck.Gen in
+  let pos = int_range 0 100_000 in
+  let mutation =
+    oneof
+      [
+        map2 (fun i b -> Flip (i, b)) pos (int_range 0 7);
+        map2
+          (fun i c -> Insert (i, c))
+          pos
+          (oneofl [ '"'; '\\'; '{'; '['; ','; ':'; 'u'; '0'; '\000'; '\255' ]);
+        map (fun i -> Delete i) pos;
+        map (fun i -> Truncate i) pos;
+      ]
+  in
+  map2
+    (fun k ms -> List.fold_left mutate fuzz_seeds.(k) ms)
+    (int_range 0 (Array.length fuzz_seeds - 1))
+    (list_size (int_range 1 4) mutation)
+
+let qcheck_readers_never_raise =
+  let snapshot = Filename.temp_file "ocgra_fuzz" ".json" in
+  at_exit (fun () -> Sys.remove snapshot);
+  QCheck.Test.make ~name:"mutated inputs: every reader returns a value" ~count:400
+    (QCheck.make ~print:String.escaped gen_mutated)
+    (fun s ->
+      ignore (Obs.Json.parse s);
+      ignore (Ocgra_svc.Wire.parse_req s);
+      ignore (Ocgra_svc.Wire.salvage_id ~line:1 s);
+      ignore (Ocgra_sim.Reliability.parse_trial_line s);
+      let oc = open_out_bin snapshot in
+      output_string oc s;
+      close_out oc;
+      ignore (Obs.Bench_diff.load snapshot);
+      true)
+
+let test_fuzz_seeds_are_valid () =
+  (* the mutation fuzz only means something if its seeds decode *)
+  Array.iter
+    (fun s -> checkb "seed parses" true (Result.is_ok (Obs.Json.parse s)))
+    fuzz_seeds;
+  checkb "trial line decodes" true
+    (Ocgra_sim.Reliability.parse_trial_line fuzz_seeds.(1)
+    = Some (3, 4611686018427387903, (Ocgra_sim.Reliability.Sdc, 2, 1)))
 
 (* ---------- spans ---------- *)
 
@@ -570,6 +701,12 @@ let () =
     [
       ( "json-checker",
         [ Alcotest.test_case "accepts good, rejects bad" `Quick test_json_checker_sanity ] );
+      ( "json-codec",
+        [
+          QCheck_alcotest.to_alcotest qcheck_json_roundtrip;
+          Alcotest.test_case "fuzz seeds are valid" `Quick test_fuzz_seeds_are_valid;
+          QCheck_alcotest.to_alcotest qcheck_readers_never_raise;
+        ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and order" `Quick test_span_nesting_and_order;

@@ -288,6 +288,47 @@ let test_wire_malformed () =
   checkb "salvages id from valid json" true
     (Wire.salvage_id ~line:7 "{\"id\":\"keep\",\"rows\":true}" = "keep")
 
+let test_wire_pins_committed_stream () =
+  (* every committed request line decodes and re-encodes to itself,
+     byte for byte: the wire format cannot drift unnoticed *)
+  let ic = open_in_bin "../SERVE_STREAM.jsonl" in
+  let lines = In_channel.input_all ic |> String.split_on_char '\n' in
+  close_in ic;
+  let lines = List.filter (fun l -> l <> "") lines in
+  checkb "stream is not empty" true (lines <> []);
+  List.iter
+    (fun line ->
+      match Wire.parse_req line with
+      | Ok r -> Alcotest.(check string) "re-encoded byte for byte" line (Wire.req_to_json r)
+      | Error e -> Alcotest.fail (line ^ ": " ^ e))
+    lines
+
+let test_wire_bad_escape_is_one_error () =
+  (* a bad \u escape in one line must cost exactly that line an
+     error response, never the rest of the stream *)
+  let lookup name =
+    match Kernels.find name with k -> Ok k.Kernels.dfg | exception Invalid_argument m -> Error m
+  in
+  let out = ref [] in
+  let errors =
+    Wire.serve_lines ~lookup ~batch:2 (Svc.create config)
+      [
+        "{\"id\":\"a\",\"kernel\":\"saxpy\"}";
+        "{\"id\":\"b\\uZZZZ\",\"kernel\":\"saxpy\"}";
+        "{\"id\":\"c\",\"kernel\":\"saxpy\"}";
+      ]
+      (fun l -> out := l :: !out)
+  in
+  checki "one error" 1 errors;
+  let status l =
+    match Ocgra_obs.Json.(Result.bind (parse l) (field "status" string)) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list string))
+    "statuses in input order" [ "ok"; "error"; "ok" ]
+    (List.rev_map status !out)
+
 (* ---------- worker-count invariance + certification (QCheck) ---------- *)
 
 let qcheck_iso_requests_certify =
@@ -381,6 +422,10 @@ let () =
         [
           Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "malformed lines are errors" `Quick test_wire_malformed;
+          Alcotest.test_case "committed stream re-encodes byte for byte" `Quick
+            test_wire_pins_committed_stream;
+          Alcotest.test_case "bad escape costs one error line" `Quick
+            test_wire_bad_escape_is_one_error;
         ] );
       ( "properties",
         [
