@@ -31,7 +31,22 @@
    actually release their memory.
 
    Literal encoding: variable v (1-based) gives literals 2v (positive)
-   and 2v+1 (negative); [negate l = l lxor 1]. *)
+   and 2v+1 (negative); [negate l = l lxor 1].  Values are stored per
+   literal, so reading one is a single load.
+
+   Watch layout: each literal owns a growable [int array] of clause
+   indices plus a count.  The vector is a stack whose top is the front
+   of the visit order: [watch] pushes, and [propagate] copies the
+   vector of the falsified literal into one persistent scratch buffer,
+   walks it from the top and writes the watches it keeps back in visit
+   order, so the last one kept is visited first next time.  On a
+   conflict the unvisited rest goes on top, in its old order.  That is
+   the order the earlier cons-list watches had, and it decides which
+   unit or conflict propagation meets first, so keeping it keeps the
+   search path (every decision, conflict and propagation count) of
+   the committed sweep snapshots.  Propagation and conflict analysis
+   allocate nothing but the learnt clause: they work in persistent
+   buffers. *)
 
 type lit = int
 
@@ -45,7 +60,7 @@ let lit_to_string l = Printf.sprintf "%s%d" (if is_pos l then "" else "-") (var_
 
 type result = Sat | Unsat | Unknown
 
-(* Values: 0 = unassigned, 1 = true, 2 = false (for the variable). *)
+(* Literal values: 0 = unassigned, 1 = true, 2 = false. *)
 let v_undef = 0
 let v_true = 1
 let v_false = 2
@@ -62,8 +77,10 @@ type t = {
   mutable clauses : clause array; (* growable store *)
   mutable n_clauses : int;
   mutable n_learnts : int; (* learnt clauses currently in the store *)
-  mutable watches : int list array; (* literal -> clause indices watching it *)
-  mutable assign : int array; (* var -> v_undef / v_true / v_false *)
+  mutable watches : int array array; (* literal -> clause indices watching it, top = next visited *)
+  mutable watch_n : int array; (* literal -> live entries in its watch vector *)
+  mutable ws_buf : int array; (* propagate scratch: the watch vector being visited *)
+  mutable vals : int array; (* literal -> v_undef / v_true / v_false *)
   mutable level : int array; (* var -> decision level *)
   mutable reason : int array; (* var -> clause index or -1 *)
   mutable activity : float array; (* var -> VSIDS score *)
@@ -83,9 +100,15 @@ type t = {
   mutable conflicts : int;
   mutable decisions : int;
   mutable propagations : int;
-  (* persistent first-UIP scratch: cleared via [to_clear] after each
-     analysis instead of reallocating an O(nvars) array per conflict *)
+  (* persistent first-UIP scratch: [seen] is cleared through the vars
+     listed in [clear_buf] after each analysis; [learnt_buf] collects
+     the learnt literals; [lvl_stamp] (level -> stamp) counts distinct
+     levels for the LBD *)
   mutable seen : bool array;
+  mutable clear_buf : int array;
+  mutable learnt_buf : int array;
+  mutable lvl_stamp : int array;
+  mutable stamp : int;
   mutable conflict_assumps : lit list; (* failed-assumption core of the last Unsat *)
   (* learnt-DB reduction schedule *)
   mutable max_learnts : int;
@@ -108,8 +131,10 @@ let create ?(reduce_base = 4000) () =
     clauses = Array.make 16 { lits = [||]; activity = 0.0; lbd = 0; learnt = false };
     n_clauses = 0;
     n_learnts = 0;
-    watches = Array.make 16 [];
-    assign = Array.make 16 v_undef;
+    watches = Array.make 16 [||];
+    watch_n = Array.make 16 0;
+    ws_buf = Array.make 16 0;
+    vals = Array.make 16 v_undef;
     level = Array.make 16 0;
     reason = Array.make 16 (-1);
     activity = Array.make 16 0.0;
@@ -129,6 +154,10 @@ let create ?(reduce_base = 4000) () =
     decisions = 0;
     propagations = 0;
     seen = Array.make 16 false;
+    clear_buf = Array.make 16 0;
+    learnt_buf = Array.make 16 0;
+    lvl_stamp = Array.make 17 0;
+    stamp = 0;
     conflict_assumps = [];
     max_learnts = max 16 reduce_base;
     reduces = 0;
@@ -223,25 +252,27 @@ let new_var t =
   let v = t.nvars + 1 in
   t.nvars <- v;
   let needed_vars = v + 1 in
-  if needed_vars > Array.length t.assign then begin
-    let n = max (2 * Array.length t.assign) needed_vars in
-    t.assign <- grow_int_array t.assign n v_undef;
+  if needed_vars > Array.length t.level then begin
+    let n = max (2 * Array.length t.level) needed_vars in
     t.level <- grow_int_array t.level n 0;
     t.reason <- grow_int_array t.reason n (-1);
     t.activity <- grow_float_array t.activity n;
     t.phase <- grow_bool_array t.phase n;
     t.heap_pos <- grow_int_array t.heap_pos n (-1);
     t.trail <- grow_int_array t.trail n 0;
-    t.seen <- grow_bool_array t.seen n
+    t.seen <- grow_bool_array t.seen n;
+    t.clear_buf <- grow_int_array t.clear_buf n 0;
+    t.learnt_buf <- grow_int_array t.learnt_buf n 0
   end;
   let needed_lits = (2 * v) + 2 in
   if needed_lits > Array.length t.watches then begin
     let n = max (2 * Array.length t.watches) needed_lits in
-    let w = Array.make n [] in
+    let w = Array.make n [||] in
     Array.blit t.watches 0 w 0 (Array.length t.watches);
-    t.watches <- w
+    t.watches <- w;
+    t.watch_n <- grow_int_array t.watch_n n 0;
+    t.vals <- grow_int_array t.vals n v_undef
   end;
-  t.assign.(v) <- v_undef;
   t.heap_pos.(v) <- -1;
   heap_insert t v;
   v
@@ -249,13 +280,13 @@ let new_var t =
 let new_vars t k = List.init k (fun _ -> new_var t)
 
 (* literal value: v_true/v_false/v_undef *)
-let lit_value t l =
-  let a = t.assign.(var_of l) in
-  if a = v_undef then v_undef else if is_pos l then a else 3 - a
+let lit_value t l = t.vals.(l)
 
 let value t v =
   if v <= 0 || v > t.nvars then invalid_arg "Sat.value: bad variable";
-  t.assign.(v) = v_true
+  t.vals.(pos v) = v_true
+
+let check_lit t fn l = if var_of l < 1 || var_of l > t.nvars then invalid_arg fn
 
 (* ---------- clause store ---------- *)
 
@@ -270,7 +301,12 @@ let push_clause t c =
   if c.learnt then t.n_learnts <- t.n_learnts + 1;
   t.n_clauses - 1
 
-let watch t l ci = t.watches.(l) <- ci :: t.watches.(l)
+(* push onto the watch vector of [l]: the new entry is visited first *)
+let watch t l ci =
+  let n = t.watch_n.(l) in
+  if n = Array.length t.watches.(l) then t.watches.(l) <- grow_int_array t.watches.(l) (max 4 (2 * n)) 0;
+  t.watches.(l).(n) <- ci;
+  t.watch_n.(l) <- n + 1
 
 (* ---------- assignment / trail ---------- *)
 
@@ -278,7 +314,8 @@ let decision_level t = t.n_levels
 
 let enqueue t l reason =
   let v = var_of l in
-  t.assign.(v) <- (if is_pos l then v_true else v_false);
+  t.vals.(l) <- v_true;
+  t.vals.(negate l) <- v_false;
   t.level.(v) <- decision_level t;
   t.reason.(v) <- reason;
   t.phase.(v) <- is_pos l;
@@ -286,8 +323,10 @@ let enqueue t l reason =
   t.trail_size <- t.trail_size + 1
 
 let new_decision_level t =
-  if t.n_levels = Array.length t.trail_lim then
+  if t.n_levels = Array.length t.trail_lim then begin
     t.trail_lim <- grow_int_array t.trail_lim (2 * t.n_levels) 0;
+    t.lvl_stamp <- grow_int_array t.lvl_stamp ((2 * t.n_levels) + 1) 0
+  end;
   t.trail_lim.(t.n_levels) <- t.trail_size;
   t.n_levels <- t.n_levels + 1
 
@@ -295,8 +334,10 @@ let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
     for i = t.trail_size - 1 downto bound do
-      let v = var_of t.trail.(i) in
-      t.assign.(v) <- v_undef;
+      let l = t.trail.(i) in
+      let v = var_of l in
+      t.vals.(l) <- v_undef;
+      t.vals.(negate l) <- v_undef;
       t.reason.(v) <- -1;
       heap_insert t v
     done;
@@ -307,62 +348,74 @@ let cancel_until t lvl =
 
 (* ---------- propagation ---------- *)
 
-(* Returns conflicting clause index, or -1. *)
+(* Returns conflicting clause index, or -1.  The watch vector of the
+   falsified literal is copied to [ws_buf] and visited from the top;
+   kept watches are written back from the bottom in visit order and, on
+   a conflict, the unvisited rest is written after them (see the
+   header).  Moved watches always go to other literals, so the vector
+   being rewritten never grows under the loop. *)
 let propagate t =
+  (* neither array is reallocated during propagation *)
+  let vals = t.vals and clauses = t.clauses in
   let conflict = ref (-1) in
   while !conflict < 0 && t.qhead < t.trail_size do
     let p = t.trail.(t.qhead) in
     t.qhead <- t.qhead + 1;
     t.propagations <- t.propagations + 1;
     let falsified = negate p in
-    let ws = t.watches.(falsified) in
-    t.watches.(falsified) <- [];
-    let rec process = function
-      | [] -> ()
-      | ci :: rest ->
-          if !conflict >= 0 then
-            (* conflict found: keep remaining watches untouched *)
-            t.watches.(falsified) <- ci :: rest @ t.watches.(falsified)
+    let n = t.watch_n.(falsified) in
+    if n > Array.length t.ws_buf then t.ws_buf <- Array.make (max n (2 * Array.length t.ws_buf)) 0;
+    let ws = t.ws_buf and kept = t.watches.(falsified) in
+    (* a plain loop: cheaper than the [Array.blit] call on the short
+       vectors typical here *)
+    for k = 0 to n - 1 do
+      ws.(k) <- kept.(k)
+    done;
+    let j = ref 0 in
+    let i = ref (n - 1) in
+    while !i >= 0 do
+      let ci = ws.(!i) in
+      decr i;
+      let lits = clauses.(ci).lits in
+      (* ensure falsified literal is at position 1 *)
+      if lits.(0) = falsified then begin
+        lits.(0) <- lits.(1);
+        lits.(1) <- falsified
+      end;
+      if vals.(lits.(0)) = v_true then begin
+        (* clause already satisfied: keep watching *)
+        kept.(!j) <- ci;
+        incr j
+      end
+      else begin
+        (* find a new literal to watch *)
+        let len = Array.length lits in
+        let k = ref 2 in
+        while !k < len && vals.(lits.(!k)) = v_false do
+          incr k
+        done;
+        if !k < len then begin
+          lits.(1) <- lits.(!k);
+          lits.(!k) <- falsified;
+          watch t lits.(1) ci
+        end
+        else begin
+          kept.(!j) <- ci;
+          incr j;
+          if vals.(lits.(0)) = v_undef then (* unit clause *) enqueue t lits.(0) ci
           else begin
-            let c = t.clauses.(ci) in
-            let lits = c.lits in
-            (* ensure falsified literal is at position 1 *)
-            if lits.(0) = falsified then begin
-              lits.(0) <- lits.(1);
-              lits.(1) <- falsified
-            end;
-            if lit_value t lits.(0) = v_true then begin
-              (* clause already satisfied: keep watching *)
-              t.watches.(falsified) <- ci :: t.watches.(falsified);
-              process rest
-            end
-            else begin
-              (* find a new literal to watch *)
-              let n = Array.length lits in
-              let rec find i = if i >= n then -1 else if lit_value t lits.(i) <> v_false then i else find (i + 1) in
-              let k = find 2 in
-              if k >= 0 then begin
-                lits.(1) <- lits.(k);
-                lits.(k) <- falsified;
-                watch t lits.(1) ci;
-                process rest
-              end
-              else if lit_value t lits.(0) = v_undef then begin
-                (* unit clause *)
-                t.watches.(falsified) <- ci :: t.watches.(falsified);
-                enqueue t lits.(0) ci;
-                process rest
-              end
-              else begin
-                (* conflict *)
-                t.watches.(falsified) <- ci :: t.watches.(falsified);
-                conflict := ci;
-                process rest
-              end
-            end
+            (* conflict: keep the unvisited watches, in their order *)
+            conflict := ci;
+            for k = 0 to !i do
+              kept.(!j) <- ws.(k);
+              incr j
+            done;
+            i := -1
           end
-    in
-    process ws
+        end
+      end
+    done;
+    t.watch_n.(falsified) <- !j
   done;
   !conflict
 
@@ -401,12 +454,14 @@ let decay_activities t =
 
 (* ---------- conflict analysis (first UIP) ---------- *)
 
-(* Returns (learnt clause, backjump level, lbd).  The [seen] scratch is
-   persistent; every var marked here is unmarked before returning. *)
+(* Returns (learnt clause, backjump level, lbd).  The learnt clause is
+   the asserting literal followed by the other literals in reverse
+   discovery order.  The [seen] scratch is persistent; every var marked
+   here is unmarked before returning. *)
 let analyze t confl =
-  let learnt = ref [] in
   let seen = t.seen in
-  let to_clear = ref [] in
+  let n_learnt = ref 1 in (* slot 0 is reserved for the asserting literal *)
+  let n_clear = ref 0 in
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
@@ -422,43 +477,55 @@ let analyze t confl =
       let v = var_of q in
       if (not seen.(v)) && t.level.(v) > 0 then begin
         seen.(v) <- true;
-        to_clear := v :: !to_clear;
+        t.clear_buf.(!n_clear) <- v;
+        incr n_clear;
         bump_var t v;
         if t.level.(v) >= decision_level t then incr counter
         else begin
-          learnt := q :: !learnt;
+          t.learnt_buf.(!n_learnt) <- q;
+          incr n_learnt;
           backtrack_level := max !backtrack_level t.level.(v)
         end
       end
     done;
     (* pick next literal to look at from the trail *)
-    let rec skip i = if seen.(var_of t.trail.(i)) then i else skip (i - 1) in
-    index := skip !index;
+    while not seen.(var_of t.trail.(!index)) do
+      decr index
+    done;
     let pl = t.trail.(!index) in
     p := pl;
     decr index;
     decr counter;
     seen.(var_of pl) <- false;
-    if !counter > 0 then begin
-      let r = t.reason.(var_of pl) in
+    if !counter > 0 then
       (* a seen literal above level 0 on the trail inside the current
          level always has a reason unless it is the decision; the
          decision is reached exactly when counter = 0 *)
-      confl := r
-    end
+      confl := t.reason.(var_of pl)
     else continue_loop := false
   done;
-  let learnt_lits = Array.of_list (negate !p :: !learnt) in
+  let n = !n_learnt in
+  let learnt = Array.make n (negate !p) in
+  for i = 1 to n - 1 do
+    learnt.(i) <- t.learnt_buf.(n - i)
+  done;
   (* LBD: distinct decision levels among the learnt literals.  The
      asserting literal sits at the (current) conflict level; the rest
      keep their levels across the backjump. *)
-  let lbd =
-    List.length
-      (List.sort_uniq compare
-         (decision_level t :: List.map (fun q -> t.level.(var_of q)) !learnt))
-  in
-  List.iter (fun v -> seen.(v) <- false) !to_clear;
-  (learnt_lits, !backtrack_level, lbd)
+  t.stamp <- t.stamp + 1;
+  t.lvl_stamp.(decision_level t) <- t.stamp;
+  let lbd = ref 1 in
+  for i = 1 to n - 1 do
+    let lv = t.level.(var_of learnt.(i)) in
+    if t.lvl_stamp.(lv) <> t.stamp then begin
+      t.lvl_stamp.(lv) <- t.stamp;
+      incr lbd
+    end
+  done;
+  for i = 0 to !n_clear - 1 do
+    seen.(t.clear_buf.(i)) <- false
+  done;
+  (learnt, !backtrack_level, !lbd)
 
 (* Failed-assumption core: called when assumption [a] is found false
    under the current (all-assumption) decision prefix.  Walks the
@@ -500,7 +567,11 @@ let analyze_final t a =
 
 (* ---------- clause addition ---------- *)
 
+let root_true t l = lit_value t l = v_true && t.level.(var_of l) = 0
+let root_false t l = lit_value t l = v_false && t.level.(var_of l) = 0
+
 let add_clause t lits =
+  List.iter (check_lit t "Sat.add_clause: unknown variable") lits;
   if t.ok then begin
     (* clauses are added at the root level; drop any leftover
        assignment trail from a previous solve call *)
@@ -509,17 +580,8 @@ let add_clause t lits =
     let lits = List.sort_uniq compare lits in
     let taut = List.exists (fun l -> List.mem (negate l) lits) lits in
     if not taut then begin
-      let lits =
-        List.filter
-          (fun l ->
-            List.iter (fun l -> if var_of l > t.nvars || var_of l < 1 then invalid_arg "Sat.add_clause: unknown variable") [ l ];
-            not (lit_value t l = v_false && t.level.(var_of l) = 0))
-          lits
-      in
-      let sat_already =
-        List.exists (fun l -> lit_value t l = v_true && t.level.(var_of l) = 0) lits
-      in
-      if not sat_already then
+      let lits = List.filter (fun l -> not (root_false t l)) lits in
+      if not (List.exists (root_true t) lits) then
         match lits with
         | [] -> t.ok <- false
         | [ l ] ->
@@ -578,7 +640,7 @@ let compact t keep =
     let r = t.reason.(v) in
     if r >= 0 then t.reason.(v) <- map.(r)
   done;
-  Array.fill t.watches 0 (Array.length t.watches) [];
+  Array.fill t.watch_n 0 (Array.length t.watch_n) 0;
   for ci = 0 to t.n_clauses - 1 do
     let lits = t.clauses.(ci).lits in
     watch t lits.(0) ci;
@@ -591,12 +653,8 @@ let compact t keep =
 let locked t ci =
   let c = t.clauses.(ci) in
   Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
-  t.assign.(v) <> v_undef && t.reason.(v) = ci
-
-let root_true t l = lit_value t l = v_true && t.level.(var_of l) = 0
-let root_false t l = lit_value t l = v_false && t.level.(var_of l) = 0
+  && lit_value t c.lits.(0) <> v_undef
+  && t.reason.(var_of c.lits.(0)) = ci
 
 (* Root-level simplification: delete clauses satisfied at level 0 —
    the mechanism that reclaims clause groups retired by a fixed
@@ -663,8 +721,8 @@ let reduce_db t =
 
 (* Internal-consistency audit for the test suite: every reason index
    must point at a live clause whose first literal is the implied one,
-   and every stored clause must be watched by exactly its first two
-   literals. *)
+   and every stored clause must sit exactly once in the watch vector of
+   each of its first two literals and nowhere else. *)
 let self_check t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -676,17 +734,35 @@ let self_check t =
         let c = t.clauses.(r) in
         if Array.length c.lits = 0 || var_of c.lits.(0) <> v then
           err "var %d: reason clause %d does not assert it" v r;
-        if t.assign.(v) = v_undef then err "var %d: unassigned but has a reason" v
+        if lit_value t (pos v) = v_undef then err "var %d: unassigned but has a reason" v
       end
   done;
+  (* watched.(2ci + k): entries for clause ci in the vector of its lit k *)
+  let watched = Array.make (2 * t.n_clauses) 0 in
+  let live = ref 0 in
+  Array.iteri
+    (fun l ws ->
+      for j = 0 to t.watch_n.(l) - 1 do
+        let ci = ws.(j) in
+        incr live;
+        if ci < 0 || ci >= t.n_clauses then err "watch vector %d: clause %d out of range" l ci
+        else begin
+          let lits = t.clauses.(ci).lits in
+          match Array.find_index (( = ) l) lits with
+          | Some k when k < 2 -> watched.((2 * ci) + k) <- watched.((2 * ci) + k) + 1
+          | _ -> err "watch vector %d: stray watch of clause %d" l ci
+        end
+      done)
+    t.watches;
+  if !live <> 2 * t.n_clauses then err "%d live watches for %d clauses" !live t.n_clauses;
   for ci = 0 to t.n_clauses - 1 do
     let c = t.clauses.(ci) in
     if Array.length c.lits < 2 then err "clause %d: fewer than 2 literals" ci
-    else begin
-      let watched_by l = List.mem ci t.watches.(l) in
-      if not (watched_by c.lits.(0)) then err "clause %d: lit 0 not watching" ci;
-      if not (watched_by c.lits.(1)) then err "clause %d: lit 1 not watching" ci
-    end;
+    else
+      for k = 0 to 1 do
+        let w = watched.((2 * ci) + k) in
+        if w <> 1 then err "clause %d: lit %d in its watch vector %d times" ci k w
+      done;
     (* the rescale guards must keep every activity finite — inf/nan
        here would poison the reduce_db sort ordering *)
     if not (Float.is_finite c.activity) then err "clause %d: non-finite activity" ci
@@ -694,13 +770,6 @@ let self_check t =
   for v = 1 to t.nvars do
     if not (Float.is_finite t.activity.(v)) then err "var %d: non-finite activity" v
   done;
-  Array.iteri
-    (fun l ws ->
-      List.iter
-        (fun ci ->
-          if ci < 0 || ci >= t.n_clauses then err "watch list %d: clause %d out of range" l ci)
-        ws)
-    t.watches;
   List.rev !errs
 
 (* ---------- Luby restarts ---------- *)
@@ -746,6 +815,7 @@ let tally_conflict t lbd =
 (* ---------- main search ---------- *)
 
 let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumptions = []) t =
+  List.iter (check_lit t "Sat.solve: unknown assumption variable") assumptions;
   t.conflict_assumps <- [];
   if not t.ok then Unsat
   else begin
@@ -756,11 +826,6 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
     end
     else begin
       let assumps = Array.of_list assumptions in
-      Array.iter
-        (fun a ->
-          if var_of a < 1 || var_of a > t.nvars then
-            invalid_arg "Sat.solve: unknown assumption variable")
-        assumps;
       if t.trail_size > t.simp_assigns then simplify t;
       if not t.ok then Unsat
       else begin
@@ -831,11 +896,11 @@ let solve ?(max_conflicts = max_int) ?(should_stop = fun () -> false) ?(assumpti
                 end
               end
               else begin
-                let rec pick () =
-                  let v = heap_pop t in
-                  if v = -1 then -1 else if t.assign.(v) = v_undef then v else pick ()
-                in
-                let v = pick () in
+                let v = ref (heap_pop t) in
+                while !v >= 0 && lit_value t (pos !v) <> v_undef do
+                  v := heap_pop t
+                done;
+                let v = !v in
                 if v = -1 then begin
                   result := Sat;
                   finished := true

@@ -8,7 +8,18 @@
     its learnt clauses, variable activities and saved phases.
 
     Literals: variable [v] (1-based) gives literals [pos v] and
-    [neg v]; [negate] flips polarity. *)
+    [neg v]; [negate] flips polarity.
+
+    Watches are kept per literal in a growable [int array] of clause
+    indices, used as a stack: the entry pushed last is visited first.
+    Propagation visits a copy of the vector and pushes the watches it
+    keeps back in visit order; after a conflict the unvisited rest goes
+    back on top in its old order.  That is the order a cons list of
+    watches would have, and the order decides which unit or conflict
+    propagation finds first, so the search (decisions, conflicts,
+    propagations) is fixed by the instance and the call sequence alone.
+    Propagation and conflict analysis allocate nothing beyond the
+    learnt clause itself. *)
 
 type t
 type lit = int
@@ -37,12 +48,15 @@ val new_vars : t -> int -> int list
 
 (** Adding a clause backtracks to the root level first; empty or
     immediately-contradicted clauses make the instance permanently
-    UNSAT. Raises [Invalid_argument] on unknown variables. *)
+    UNSAT. Raises [Invalid_argument] on unknown variables, whatever the
+    clause (a tautology too) and whatever the state of the instance. *)
 val add_clause : t -> lit list -> unit
 
 (** [solve ?max_conflicts ?should_stop ?assumptions t]: [Unknown] when
     the conflict budget runs out or [should_stop] (polled at amortised
-    checkpoints, e.g. a wall-clock deadline) returns true.
+    checkpoints, e.g. a wall-clock deadline) returns true.  Raises
+    [Invalid_argument] on an assumption over an unknown variable, also
+    when the instance is already UNSAT.
 
     Assumptions are established one per decision level before any free
     decision (the decision level is the assumption cursor, so the
@@ -95,6 +109,8 @@ val dist_ppd : t -> int array
 
 (** Internal-consistency audit for tests: reason indices must point at
     live clauses asserting their variable, and every stored clause
-    must be watched by its first two literals.  Returns human-readable
-    violations; [[]] means healthy. *)
+    must appear exactly once in the watch vector of each of its first
+    two literals and in no other (so there are [2 * clauses] live
+    watches).  Returns human-readable violations; [[]] means
+    healthy. *)
 val self_check : t -> string list

@@ -171,6 +171,51 @@ let qcheck_cold_incremental_equivalent =
           && Check.validate p a = [] && Check.validate p b = []
       | _ -> false)
 
+(* the solver's search path is pinned: rerunning the committed
+   BENCH_PR8.json incremental sweep of running-max on 2x2 must spend
+   exactly the conflicts, decisions and propagations recorded there *)
+let test_sweep_search_path_pinned () =
+  let module Json = Ocgra_obs.Json in
+  let ( let* ) = Result.bind in
+  let ic = open_in_bin "../BENCH_PR8.json" in
+  let text =
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  let recorded =
+    let* doc = Json.parse text in
+    let* seed = Json.field "seed" Json.int doc in
+    let* max_ii = Json.field "max_ii" Json.int doc in
+    let* kernels = Json.field "kernels" (Json.list Result.ok) doc in
+    let* row =
+      match
+        List.find_opt
+          (fun r ->
+            Json.field "kernel" Json.string r = Ok "running-max"
+            && Json.field "grid" Json.string r = Ok "2x2")
+          kernels
+      with
+      | Some r -> Json.field "incremental" Result.ok r
+      | None -> Error "no running-max 2x2 row"
+    in
+    let count name = Json.field name Json.int row in
+    let* c = count "conflicts" in
+    let* d = count "decisions" in
+    let* pr = count "propagations" in
+    Ok (seed, max_ii, (c, d, pr))
+  in
+  match recorded with
+  | Error e -> Alcotest.fail ("BENCH_PR8.json: " ^ e)
+  | Ok (seed, max_ii, expected) ->
+      let k = Kernels.running_max () in
+      let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:(small_cgra 2) ~max_ii () in
+      let obs = Ocgra_obs.Ctx.create () in
+      let _ = Ocgra_mappers.Sat_temporal.map ~incremental:true ~obs p (Rng.create seed) in
+      let get = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
+      Alcotest.(check (triple int int int))
+        "conflicts, decisions, propagations" expected
+        (get "sat.conflicts", get "sat.decisions", get "sat.propagations")
+
 (* regression: the sat mapper used to report elapsed_s = 0.0 *)
 let test_sat_elapsed_reported () =
   let k = Kernels.dot_product () in
@@ -242,6 +287,7 @@ let () =
           Alcotest.test_case "multi-attempt sweeps agree" `Slow test_cold_incremental_multi_attempt;
           QCheck_alcotest.to_alcotest qcheck_cold_incremental_equivalent;
           Alcotest.test_case "elapsed_s reported" `Quick test_sat_elapsed_reported;
+          Alcotest.test_case "search path matches BENCH_PR8" `Quick test_sweep_search_path_pinned;
           Alcotest.test_case "worker-count determinism" `Slow test_sat_worker_determinism;
         ] );
     ]

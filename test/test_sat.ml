@@ -216,6 +216,33 @@ let test_clause_activity_rescale () =
   check "enough conflicts to matter" true (conflicts > 100);
   Alcotest.(check (list string)) "self_check clean" [] (Solver.self_check s)
 
+(* unknown variables are rejected whatever path the clause would take:
+   a tautology, an instance that is already UNSAT, an assumption *)
+let raises_invalid f =
+  match f () with
+  | () -> false
+  | exception Invalid_argument _ -> true
+
+let test_tautology_unknown_var () =
+  let s = Solver.create () in
+  let _ = Solver.new_var s in
+  check "tautology over var 999 rejected" true
+    (raises_invalid (fun () -> Solver.add_clause s [ Solver.pos 999; Solver.neg 999 ]))
+
+let test_unsat_instance_unknown_var () =
+  let s = Solver.create () in
+  let _ = Solver.new_var s in
+  Solver.add_clause s [];
+  check "clause over var 999 rejected after UNSAT" true
+    (raises_invalid (fun () -> Solver.add_clause s [ Solver.pos 999 ]))
+
+let test_unsat_instance_unknown_assumption () =
+  let s = Solver.create () in
+  let _ = Solver.new_var s in
+  Solver.add_clause s [];
+  check "assumption over var 999 rejected after UNSAT" true
+    (raises_invalid (fun () -> ignore (Solver.solve ~assumptions:[ Solver.pos 999 ] s)))
+
 let random_cnf rng ~nvars ~nclauses ~width =
   List.init nclauses (fun _ ->
       List.init (1 + Rng.int rng width) (fun _ ->
@@ -310,6 +337,67 @@ let qcheck_incremental_matches_fresh =
         queries
       && Solver.self_check shared = [])
 
+(* brute force over bitmask assignments of vars 1..n: a clause is a
+   (positive mask, negative mask) pair *)
+let brute_force_masks n clauses =
+  let masks =
+    List.map
+      (List.fold_left
+         (fun (p, q) l ->
+           let bit = 1 lsl (Solver.var_of l - 1) in
+           if Solver.is_pos l then (p lor bit, q) else (p, q lor bit))
+         (0, 0))
+      clauses
+  in
+  let rec go a =
+    a < 1 lsl n
+    && (List.for_all (fun (p, q) -> a land p <> 0 || lnot a land q <> 0) masks || go (a + 1))
+  in
+  go 0
+
+(* stress for clause-store compaction (root simplification at each
+   solve that follows new root units) and for conflicts in the middle
+   of a watch vector: a tiny learnt budget, random 3-CNF near the
+   threshold ratio, and a sequence of assumption solves with clauses
+   added in between, each verdict checked against brute force and the
+   watch invariants audited after every call.  [reduce_db] itself needs
+   a restart (100 conflicts in one solve), which these sizes rarely
+   reach; the pigeonhole cases above cover it. *)
+let qcheck_compaction_stress =
+  QCheck.Test.make ~name:"tiny learnt budget: incremental verdicts and watches" ~count:100
+    QCheck.(pair (int_bound 1_000_000) (int_range 8 14))
+    (fun (seed, nvars) ->
+      let rng = Rng.create ((seed * 13) + 5) in
+      let lit_of v = if Rng.bool rng then Solver.pos v else Solver.neg v in
+      let clause () =
+        Array.to_list (Array.map (fun i -> lit_of (i + 1)) (Rng.sample_indices rng nvars 3))
+      in
+      let s = Solver.create ~reduce_base:2 () in
+      let _ = Solver.new_vars s nvars in
+      let clauses = ref [] in
+      let add c =
+        clauses := c :: !clauses;
+        Solver.add_clause s c;
+        Solver.self_check s = []
+      in
+      let healthy = ref (List.for_all add (List.init (nvars * 39 / 10) (fun _ -> clause ()))) in
+      for _ = 1 to 4 do
+        let assumptions =
+          Array.to_list
+            (Array.map (fun i -> lit_of (i + 1)) (Rng.sample_indices rng nvars (Rng.int rng 4)))
+        in
+        let expected =
+          brute_force_masks nvars (List.map (fun a -> [ a ]) assumptions @ !clauses)
+        in
+        let verdict = Solver.solve ~assumptions s in
+        healthy :=
+          !healthy
+          && verdict = (if expected then Solver.Sat else Solver.Unsat)
+          && Solver.self_check s = []
+          && List.for_all add (List.init (1 + (nvars / 8)) (fun _ -> clause ()))
+      done;
+      !healthy)
+
 let qcheck_exactly_one =
   QCheck.Test.make ~name:"exactly_one has exactly one true" ~count:100
     QCheck.(pair (int_bound 1_000_000) (int_range 1 15))
@@ -340,6 +428,10 @@ let () =
           Alcotest.test_case "guard groups" `Quick test_guard_groups;
           Alcotest.test_case "reduce_db invariants" `Quick test_reduce_db_invariants;
           Alcotest.test_case "activity stays finite" `Quick test_clause_activity_rescale;
+          Alcotest.test_case "tautology over unknown var" `Quick test_tautology_unknown_var;
+          Alcotest.test_case "unknown var after UNSAT" `Quick test_unsat_instance_unknown_var;
+          Alcotest.test_case "unknown assumption after UNSAT" `Quick
+            test_unsat_instance_unknown_assumption;
         ] );
       ( "property",
         [
@@ -348,5 +440,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_exactly_one;
           QCheck_alcotest.to_alcotest qcheck_failed_core_sound;
           QCheck_alcotest.to_alcotest qcheck_incremental_matches_fresh;
+          QCheck_alcotest.to_alcotest qcheck_compaction_stress;
         ] );
     ]
