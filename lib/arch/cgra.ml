@@ -3,9 +3,23 @@
    This is the "CGRA model" every mapper takes as input (Section II.B
    of the paper): capability queries, neighbour sets and hop-distance
    tables are the only interface the mapping algorithms use, so any
-   array describable here is mappable by all of them. *)
+   array describable here is mappable by all of them.
+
+   The fault-masked view (PE health, masked adjacency, one-cycle reach,
+   effective RF size) is derived once, when [make] or [with_faults]
+   fixes the mask, and the hot queries the router asks millions of
+   times per map are array lookups.  [t] is private so no record update
+   can change the mask without re-deriving it. *)
 
 open Ocgra_dfg
+
+(* Per PE, indexed 0 .. rows * cols - 1.  A live PE's reach starts
+   with the PE itself, so health and the masked neighbour list are both
+   read off it. *)
+type derived = {
+  reach : int list array; (* pe :: fault-masked neighbours in topology order; [] = down *)
+  rf : int array; (* effective RF size *)
+}
 
 type t = {
   rows : int;
@@ -13,12 +27,41 @@ type t = {
   topology : Topology.t;
   pes : Pe.t array; (* length rows * cols, row-major *)
   name : string;
-  faults : Fault.t list; (* resources out of service; [] = healthy *)
+  faults : Fault.t list; (* canonical; resources out of service; [] = healthy *)
+  derived : derived;
 }
+
+(* Fault entries naming PEs outside the array are kept in [faults] (and
+   rendered) but mask nothing: no query can ask about those PEs. *)
+let derive ~rows ~cols topology pes faults =
+  let n = rows * cols in
+  let raw i = Topology.neighbours topology ~rows ~cols i in
+  match faults with
+  | [] ->
+      (* the common healthy array, built for every service request *)
+      { reach = Array.init n (fun i -> i :: raw i); rf = Array.map (fun (p : Pe.t) -> max 0 p.rf_size) pes }
+  | _ :: _ ->
+      let inside i = i >= 0 && i < n in
+      let up = Array.make n true and lost = Array.make n 0 and cut = Array.make n [] in
+      List.iter
+        (function
+          | Fault.Pe_down i -> if inside i then up.(i) <- false
+          | Fault.Link_down (a, b) -> if inside a then cut.(a) <- b :: cut.(a)
+          | Fault.Rf_reduced (i, k) -> if inside i then lost.(i) <- lost.(i) + k
+          | Fault.Fu_slot_dead _ -> ())
+        faults;
+      let reach i =
+        if up.(i) then i :: List.filter (fun j -> up.(j) && not (List.mem j cut.(i))) (raw i) else []
+      in
+      {
+        reach = Array.init n reach;
+        rf = Array.init n (fun i -> if up.(i) then max 0 (pes.(i).Pe.rf_size - lost.(i)) else 0);
+      }
 
 let make ?(name = "cgra") ?(faults = []) ~rows ~cols ~topology pes =
   if Array.length pes <> rows * cols then invalid_arg "Cgra.make: wrong PE count";
-  { rows; cols; topology; pes; name; faults = Fault.canonical faults }
+  let faults = Fault.canonical faults in
+  { rows; cols; topology; pes; name; faults; derived = derive ~rows ~cols topology pes faults }
 
 let pe_count t = t.rows * t.cols
 let pe t i = t.pes.(i)
@@ -28,10 +71,9 @@ let index t ~row ~col = (row * t.cols) + col
 (* ---------- Fault queries ---------- *)
 
 let faults t = t.faults
-let with_faults t faults = { t with faults = Fault.canonical faults }
+let with_faults t faults = make ~name:t.name ~faults ~rows:t.rows ~cols:t.cols ~topology:t.topology t.pes
 
-let pe_ok t i =
-  not (List.exists (function Fault.Pe_down j -> j = i | _ -> false) t.faults)
+let pe_ok t i = match t.derived.reach.(i) with [] -> false | _ :: _ -> true
 
 let link_ok t i j =
   not (List.exists (function Fault.Link_down (a, b) -> a = i && b = j | _ -> false) t.faults)
@@ -47,16 +89,7 @@ let dead_slots t ~pe =
     (function Fault.Fu_slot_dead (q, s) when q = pe -> Some s | _ -> None)
     t.faults
 
-let effective_rf_size t i =
-  if not (pe_ok t i) then 0
-  else begin
-    let lost =
-      List.fold_left
-        (fun acc f -> match f with Fault.Rf_reduced (j, k) when j = i -> acc + k | _ -> acc)
-        0 t.faults
-    in
-    max 0 (t.pes.(i).Pe.rf_size - lost)
-  end
+let effective_rf_size t i = t.derived.rf.(i)
 
 (* Topology adjacency before fault masking: the physical wires. *)
 let raw_neighbours t i = Topology.neighbours t.topology ~rows:t.rows ~cols:t.cols i
@@ -64,15 +97,10 @@ let raw_neighbours t i = Topology.neighbours t.topology ~rows:t.rows ~cols:t.col
 (* Fault-masked adjacency: the wires a mapping may actually use.  A
    downed endpoint removes all its links, so hop tables, routing and
    validation all avoid faulted resources natively. *)
-let neighbours t i =
-  match t.faults with
-  | [] -> raw_neighbours t i
-  | _ ->
-      if not (pe_ok t i) then []
-      else List.filter (fun j -> pe_ok t j && link_ok t i j) (raw_neighbours t i)
+let neighbours t i = match t.derived.reach.(i) with _ :: ns -> ns | [] -> []
 
 (* PEs a value on [i] can reach in one cycle, including staying put. *)
-let reachable_in_one t i = if pe_ok t i then i :: neighbours t i else []
+let reachable_in_one t i = t.derived.reach.(i)
 
 let supports t i op = pe_ok t i && Pe.supports t.pes.(i) op
 

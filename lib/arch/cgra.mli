@@ -1,15 +1,38 @@
 (** A CGRA instance: a rows x cols array of PEs joined by a topology.
     Capability queries, neighbour sets and hop tables are the whole
     interface the mappers use, so any array describable here is
-    mappable by all of them. *)
+    mappable by all of them.
 
-type t = {
+    {b Derived view.} [make] and [with_faults] derive the fault-masked
+    view of the array once: per PE its health, its masked neighbour
+    list, its one-cycle reach and its effective register-file size.
+    {!pe_ok}, {!neighbours}, {!reachable_in_one}, {!supports} and
+    {!effective_rf_size} are then O(1) lookups returning stored lists,
+    which is what keeps the router's inner loop free of allocation.
+    The view costs O(PEs x degree) words per instance.  [t] is
+    [private] so that a record update such as [{ c with faults }]
+    cannot leave a stale view behind: build with [make], change the
+    mask with [with_faults].
+
+    {b Precondition.} The per-PE lookups ({!pe}, {!pe_ok},
+    {!neighbours}, {!reachable_in_one}, {!supports},
+    {!effective_rf_size}) expect an index in 0 .. [pe_count t - 1] and
+    raise [Invalid_argument] outside it.  Code that reads PE indices
+    from outside (a mapping under validation, a wire request) checks
+    the range first, as [Check.validate] does.  Fault entries naming
+    PEs outside the array are kept in the mask but mask nothing. *)
+
+(** The fault-masked view; see above. *)
+type derived
+
+type t = private {
   rows : int;
   cols : int;
   topology : Topology.t;
   pes : Pe.t array;  (** row-major, length rows * cols *)
   name : string;
   faults : Fault.t list;  (** resources out of service; [[]] = healthy *)
+  derived : derived;  (** computed from the fields above by [make] *)
 }
 
 (** Raises [Invalid_argument] when the PE array has the wrong length. *)

@@ -46,7 +46,7 @@ let create ?cgra ~npe ~ii () =
 let slot_index t pe time = (pe * t.ii) + (((time mod t.ii) + t.ii) mod t.ii)
 
 let fu_user t ~pe ~time = t.fu.(slot_index t pe time)
-let fu_free t ~pe ~time = fu_user t ~pe ~time = None
+let fu_free t ~pe ~time = match fu_user t ~pe ~time with None -> true | Some _ -> false
 
 let claim_fu t ~pe ~time user =
   let i = slot_index t pe time in

@@ -147,6 +147,10 @@ let repair ?(seed = 42) ?(deadline = Deadline.none) ?(obs = Obs.off) ?(fallback 
     Array.length m0.Mapping.binding <> Dfg.node_count p.Problem.dfg
     || Array.length m0.Mapping.routes <> Dfg.edge_count p.Problem.dfg
     || Array.exists (fun (pe, _) -> pe < 0 || pe >= npe) m0.Mapping.binding
+    || Array.exists
+         (List.exists (function
+           | Mapping.Hop { pe; _ } | Mapping.Hold { pe; _ } -> pe < 0 || pe >= npe))
+         m0.Mapping.routes
   then
     mk_outcome
       ~diagnosis:{ dead_nodes = []; broken_edges = [] }

@@ -39,7 +39,8 @@ type diagnosis = {
 (** What the new fault mask breaks, recomputed from the fault-masked
     arch queries (never by string-matching validator output).  The
     mapping is assumed checker-valid under the {e previous} mask, so
-    only fault-dependent constraints are re-examined.  RF-capacity
+    only fault-dependent constraints are re-examined (its PEs must lie
+    on the array: the arch queries raise outside it).  RF-capacity
     losses ([Rf_reduced]) are attributed greedily in edge order: the
     first routes to fit the shrunken file keep it, later ones are
     broken.  Deterministic. *)
@@ -62,7 +63,8 @@ type outcome = {
 (** [repair p m] salvages [m] — checker-valid under the array's
     previous fault mask — for [p], whose [cgra] carries the new mask on
     the same fabric (same dimensions and PE kinds; a different-shaped
-    array fails cleanly).  The ladder runs under the one [?deadline]
+    array, or a binding or route step naming a PE outside it, fails
+    cleanly).  The ladder runs under the one [?deadline]
     budget: an expired clock stops escalation and fails the repair
     rather than emitting an uncertified mapping.
 

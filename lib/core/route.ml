@@ -81,9 +81,6 @@ let state_cost field ~layer ~pe ~in_rf =
 let explore ?(ii = max_int) (cgra : Cgra.t) (cm : cost_model) ~src_pe ~avail ~layers =
   let npe = Cgra.pe_count cgra in
   let rf_usable = ii > 1 in
-  let hop_targets =
-    Array.init npe (fun pe -> if ii > 1 then Cgra.reachable_in_one cgra pe else Cgra.neighbours cgra pe)
-  in
   let nstates = npe * 2 in
   let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0 in
   let cost = Array.init (layers + 1) (fun _ -> Array.make nstates inf) in
@@ -107,21 +104,25 @@ let explore ?(ii = max_int) (cgra : Cgra.t) (cm : cost_model) ~src_pe ~avail ~la
         done
       end
     in
+    (* hop: a Route op on each target q at cycle t reads the output
+       register of [from], whose state in layer l costs [cf] *)
+    let rec hops l t cf from = function
+      | [] -> ()
+      | q :: rest ->
+          (match cm.fu_cost q t with
+          | Some c when cf + c < cost.(l + 1).(idx q false) ->
+              cost.(l + 1).(idx q false) <- cf + c;
+              parent.(l + 1).(idx q false) <- (l * nstates) + idx from false
+          | _ -> ());
+          hops l t cf from rest
+    in
     intra_layer 0;
     for l = 0 to layers - 1 do
       let t = time_of_layer l in
       for pe = 0 to npe - 1 do
         let cf = cost.(l).(idx pe false) in
         if cf < inf then
-          (* hop: Route op on q at cycle t reads pe's output register *)
-          List.iter
-            (fun q ->
-              match cm.fu_cost q t with
-              | Some c when cf + c < cost.(l + 1).(idx q false) ->
-                  cost.(l + 1).(idx q false) <- cf + c;
-                  parent.(l + 1).(idx q false) <- (l * nstates) + idx pe false
-              | _ -> ())
-            hop_targets.(pe);
+          hops l t cf pe (if rf_usable then Cgra.reachable_in_one cgra pe else Cgra.neighbours cgra pe);
         let cr = cost.(l).(idx pe true) in
         if cr < inf then begin
           (* keep holding *)
@@ -150,7 +151,8 @@ let goal_state (field : field) ~dst_pe ~layer =
   let idx pe in_rf = (2 * pe) + if in_rf then 1 else 0 in
   let best = ref inf and best_state = ref (-1) in
   for pe = 0 to npe - 1 do
-    if pe = dst_pe || List.mem dst_pe (Cgra.neighbours cgra pe) then begin
+    (* [memq] on ints is integer equality, without a polymorphic compare *)
+    if pe = dst_pe || List.memq dst_pe (Cgra.neighbours cgra pe) then begin
       let c = field.cost.(layer).(idx pe false) in
       if c < !best then begin
         best := c;

@@ -36,13 +36,14 @@ let topo_order_by_height rng dfg =
 
 (* Sum of hop distances from [pe] to every placed neighbour of [v]; a
    centre-distance bias when nothing is placed yet, so early nodes
-   cluster and later routes stay short. *)
+   cluster and later routes stay short.  Self-loops have no other end
+   and are skipped. *)
 let proximity (state : Place_route.t) hop_table v pe =
-  let dfg = state.problem.dfg in
   let total = ref 0 and neighbours = ref 0 in
   List.iter
-    (fun (e : Dfg.edge) ->
-      let other = if e.src = v then e.dst else e.src in
+    (fun i ->
+      let e = state.edges.(i) in
+      let other = if e.Dfg.src = v then e.dst else e.src in
       if other <> v && Place_route.is_placed state other then begin
         let po, _ = Place_route.binding_of state other in
         let h = if e.src = v then hop_table.(pe).(po) else hop_table.(po).(pe) in
@@ -51,23 +52,27 @@ let proximity (state : Place_route.t) hop_table v pe =
           incr neighbours
         end
       end)
-    (Dfg.in_edges dfg v @ Dfg.out_edges dfg v);
+    state.incident.(v);
   if !neighbours > 0 then Some !total else None
 
-(* One placement attempt at a fixed II. *)
-let attempt (p : Problem.t) rng ~ii ~time_slack =
+(* Candidate order: time, then proximity, then jitter, then PE — the
+   lexicographic order of the tuples, compared as ints. *)
+let compare_candidates ((t1 : int), (p1 : int), (j1 : int), (pe1 : int)) (t2, p2, j2, pe2) =
+  if t1 <> t2 then Int.compare t1 t2
+  else if p1 <> p2 then Int.compare p1 p2
+  else if j1 <> j2 then Int.compare j1 j2
+  else Int.compare pe1 pe2
+
+(* One placement attempt at a fixed II; [hop_table] is the array's,
+   computed once per [map]. *)
+let attempt (p : Problem.t) rng ~hop_table ~ii ~time_slack =
   let state = Place_route.create p ~ii in
   let cgra = p.cgra in
-  let hop_table = Ocgra_arch.Cgra.hop_table cgra in
   let order = topo_order_by_height rng p.dfg in
-  let npe = Ocgra_arch.Cgra.pe_count cgra in
   let ok =
     List.for_all
       (fun v ->
-        let op = Dfg.op p.dfg v in
-        let capable =
-          List.filter (fun pe -> Ocgra_arch.Cgra.supports cgra pe op) (List.init npe Fun.id)
-        in
+        let capable = Ocgra_arch.Cgra.capable_pes cgra (Dfg.op p.dfg v) in
         (* candidate (pe, t) pairs ordered by time, then proximity to the
            placed neighbours, then a random jitter to diversify restarts;
            nodes with no placed neighbour yet (inputs, constants) are
@@ -88,7 +93,7 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
               end)
             capable
         in
-        let candidates = List.sort compare candidates in
+        let candidates = List.sort compare_candidates candidates in
         List.exists (fun (t, _, _, pe) -> Place_route.place state v ~pe ~time:t) candidates)
       order
   in
@@ -100,6 +105,7 @@ let attempt (p : Problem.t) rng ~ii ~time_slack =
 let map ?(restarts = 8) ?(time_slack = 6) ?deadline_s ?(deadline = Deadline.none)
     ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
   let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+  let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let attempts = ref 0 in
   let result =
     match p.kind with
@@ -108,7 +114,7 @@ let map ?(restarts = 8) ?(time_slack = 6) ?deadline_s ?(deadline = Deadline.none
         if r >= restarts || Deadline.expired dl then None
         else begin
           incr attempts;
-          match attempt p rng ~ii:1 ~time_slack with
+          match attempt p rng ~hop_table ~ii:1 ~time_slack with
           | Some m -> Some m
           | None -> go (r + 1)
         end
@@ -123,7 +129,7 @@ let map ?(restarts = 8) ?(time_slack = 6) ?deadline_s ?(deadline = Deadline.none
             if r >= restarts || Deadline.expired dl then None
             else begin
               incr attempts;
-              match attempt p rng ~ii ~time_slack with
+              match attempt p rng ~hop_table ~ii ~time_slack with
               | Some m -> Some m
               | None -> go (r + 1)
             end

@@ -15,9 +15,16 @@ val topo_order_by_height : Ocgra_util.Rng.t -> Ocgra_dfg.Dfg.t -> int list
 val proximity : Place_route.t -> int array array -> int -> int -> int option
 
 (** One placement attempt at a fixed II ([time_slack] widens the time
-    window tried per candidate PE). *)
+    window tried per candidate PE; [hop_table] is
+    [Cgra.hop_table p.cgra], which [map] computes once for all its
+    attempts). *)
 val attempt :
-  Ocgra_core.Problem.t -> Ocgra_util.Rng.t -> ii:int -> time_slack:int -> Ocgra_core.Mapping.t option
+  Ocgra_core.Problem.t ->
+  Ocgra_util.Rng.t ->
+  hop_table:int array array ->
+  ii:int ->
+  time_slack:int ->
+  Ocgra_core.Mapping.t option
 
 (** Map at the smallest feasible II with random restarts; returns
     (mapping, attempts, achieved the MII bound).  [deadline_s] bounds

@@ -11,6 +11,16 @@ open Ocgra_dfg
 open Ocgra_core
 module Rng = Ocgra_util.Rng
 
+(* Candidate order: routing cost, then layer, then jitter, then PE,
+   then time — the lexicographic order of the tuples, compared as ints. *)
+let compare_candidates ((c1 : int), (l1 : int), (j1 : int), (pe1 : int), (t1 : int))
+    (c2, l2, j2, pe2, t2) =
+  if c1 <> c2 then Int.compare c1 c2
+  else if l1 <> l2 then Int.compare l1 l2
+  else if j1 <> j2 then Int.compare j1 j2
+  else if pe1 <> pe2 then Int.compare pe1 pe2
+  else Int.compare t1 t2
+
 let attempt (p : Problem.t) rng ~ii =
   let state = Place_route.create p ~ii in
   let cgra = p.cgra in
@@ -79,7 +89,7 @@ let attempt (p : Problem.t) rng ~ii =
                     end
                   done
               done;
-              let candidates = List.sort compare !candidates in
+              let candidates = List.sort compare_candidates !candidates in
               List.exists
                 (fun (_, _, _, pe, t) -> Place_route.place state v ~pe ~time:t)
                 candidates

@@ -151,6 +151,175 @@ let test_dict_interning () =
   checkb "distinct" true (a <> b);
   Alcotest.(check string) "name" "beta" (Context.Dict.name d b)
 
+(* ---------- derived view ----------
+
+   Reference copies of the list-based definitions the derived view
+   replaced: the topology generators on coordinate tuples, and the
+   fault queries as scans of the canonical mask.  The derived view must
+   answer exactly as they do, list order included. *)
+
+let ref_topology_neighbours t ~rows ~cols pe =
+  let r = pe / cols and c = pe mod cols in
+  let inside (r, c) = r >= 0 && r < rows && c >= 0 && c < cols in
+  let at (r, c) = (r * cols) + c in
+  match t with
+  | Topology.Mesh ->
+      List.filter inside [ (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1) ] |> List.map at
+  | Topology.Torus ->
+      if rows = 1 && cols = 1 then []
+      else
+        List.sort_uniq compare
+          (List.map at
+             (List.filter
+                (fun rc -> rc <> (r, c))
+                [
+                  (((r - 1) + rows) mod rows, c);
+                  ((r + 1) mod rows, c);
+                  (r, ((c - 1) + cols) mod cols);
+                  (r, (c + 1) mod cols);
+                ]))
+  | Topology.Diagonal ->
+      List.filter inside
+        [
+          (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1);
+          (r - 1, c - 1); (r - 1, c + 1); (r + 1, c - 1); (r + 1, c + 1);
+        ]
+      |> List.map at
+  | Topology.One_hop ->
+      List.filter inside
+        [
+          (r - 1, c); (r + 1, c); (r, c - 1); (r, c + 1);
+          (r - 2, c); (r + 2, c); (r, c - 2); (r, c + 2);
+        ]
+      |> List.map at
+  | Topology.Full -> List.init (rows * cols) Fun.id |> List.filter (fun q -> q <> pe)
+
+let test_topology_matches_reference () =
+  let mismatches = ref [] in
+  List.iter
+    (fun topo ->
+      for rows = 1 to 7 do
+        for cols = 1 to 7 do
+          for pe = 0 to (rows * cols) - 1 do
+            if Topology.neighbours topo ~rows ~cols pe <> ref_topology_neighbours topo ~rows ~cols pe
+            then
+              mismatches :=
+                Printf.sprintf "%s %dx%d pe %d" (Topology.to_string topo) rows cols pe
+                :: !mismatches
+          done
+        done
+      done)
+    Topology.all;
+  Alcotest.(check (list string)) "same lists, same order" [] (List.rev !mismatches)
+
+let ref_pe_ok faults i = not (List.exists (function Fault.Pe_down j -> j = i | _ -> false) faults)
+
+let ref_link_ok faults i j =
+  not (List.exists (function Fault.Link_down (a, b) -> a = i && b = j | _ -> false) faults)
+
+let ref_neighbours c i =
+  let faults = Cgra.faults c in
+  match faults with
+  | [] -> Cgra.raw_neighbours c i
+  | _ ->
+      if not (ref_pe_ok faults i) then []
+      else
+        List.filter (fun j -> ref_pe_ok faults j && ref_link_ok faults i j) (Cgra.raw_neighbours c i)
+
+let ref_reachable_in_one c i = if ref_pe_ok (Cgra.faults c) i then i :: ref_neighbours c i else []
+
+let ref_effective_rf_size c i =
+  let faults = Cgra.faults c in
+  if not (ref_pe_ok faults i) then 0
+  else begin
+    let lost =
+      List.fold_left
+        (fun acc f -> match f with Fault.Rf_reduced (j, k) when j = i -> acc + k | _ -> acc)
+        0 faults
+    in
+    max 0 ((Cgra.pe c i).Pe.rf_size - lost)
+  end
+
+let sample_ops = [ Op.Binop Op.Add; Op.Binop Op.Mul; Op.Load "a"; Op.Output "y"; Op.Route; Op.Const 1 ]
+
+(* Every derived query on every PE, and the same through the reference
+   scans. *)
+let view c =
+  List.init (Cgra.pe_count c) (fun i ->
+      ( Cgra.pe_ok c i,
+        Cgra.neighbours c i,
+        Cgra.reachable_in_one c i,
+        Cgra.effective_rf_size c i,
+        List.map (Cgra.supports c i) sample_ops ))
+
+let ref_view c =
+  List.init (Cgra.pe_count c) (fun i ->
+      let ok = ref_pe_ok (Cgra.faults c) i in
+      ( ok,
+        ref_neighbours c i,
+        ref_reachable_in_one c i,
+        ref_effective_rf_size c i,
+        List.map (fun op -> ok && Pe.supports (Cgra.pe c i) op) sample_ops ))
+
+let agrees_with_reference c = view c = ref_view c
+
+(* A random array and a random mask over it: PE indices drawn from
+   [-3, npe + 3] so out-of-range entries occur, links mostly along
+   physical wires so they bite, and some entries repeated. *)
+let gen_array_and_mask =
+  let open QCheck.Gen in
+  let* rows = int_range 1 5 and* cols = int_range 1 5 and* topo = oneofl Topology.all in
+  let* hetero = bool and* rf_size = int_range (-2) 6 in
+  let c =
+    if hetero then Cgra.adres_like ~topology:topo ~rf_size ~rows ~cols ()
+    else Cgra.uniform ~topology:topo ~rf_size ~rows ~cols ()
+  in
+  let npe = rows * cols in
+  let any_pe = int_range (-3) (npe + 3) in
+  let fault =
+    let* pe = any_pe in
+    frequency
+      [
+        (2, return (Fault.Pe_down pe));
+        ( 3,
+          let* dst =
+            if pe >= 0 && pe < npe && Cgra.raw_neighbours c pe <> [] then
+              frequency [ (4, oneofl (Cgra.raw_neighbours c pe)); (1, any_pe) ]
+            else any_pe
+          in
+          return (Fault.Link_down (pe, dst)) );
+        (1, map (fun s -> Fault.Fu_slot_dead (pe, s)) (int_range 0 4));
+        (2, map (fun k -> Fault.Rf_reduced (pe, k)) (int_range 0 5));
+      ]
+  in
+  let* faults = list_size (int_range 0 8) fault in
+  let* dups = list_size (int_range 0 3) (oneofl (if faults = [] then [ Fault.Pe_down npe ] else faults)) in
+  return (c, faults @ dups)
+
+let arb_array_and_mask =
+  QCheck.make
+    ~print:(fun (c, faults) ->
+      Printf.sprintf "%s with [%s]" (Cgra.describe c) (String.concat "; " (List.map Fault.to_string faults)))
+    gen_array_and_mask
+
+let qcheck_derived_matches_scans =
+  QCheck.Test.make ~name:"derived view matches the fault-list scans" ~count:300 arb_array_and_mask
+    (fun (c, faults) -> agrees_with_reference c && agrees_with_reference (Cgra.with_faults c faults))
+
+let qcheck_grow_then_clear =
+  QCheck.Test.make ~name:"growing a mask then clearing it restores the healthy view" ~count:200
+    arb_array_and_mask (fun (healthy, faults) ->
+      let grown =
+        List.fold_left
+          (fun c f ->
+            let c = Cgra.with_faults c (f :: Cgra.faults c) in
+            if not (agrees_with_reference c) then QCheck.Test.fail_report "mid-growth disagreement";
+            c)
+          healthy faults
+      in
+      let cleared = Cgra.with_faults grown [] in
+      Cgra.faults cleared = [] && view cleared = view healthy)
+
 (* ---------- pe ---------- *)
 
 let test_pe_capabilities () =
@@ -178,6 +347,12 @@ let () =
           Alcotest.test_case "heterogeneous" `Quick test_heterogeneous_capabilities;
           Alcotest.test_case "coords roundtrip" `Quick test_coords_index_roundtrip;
           QCheck_alcotest.to_alcotest qcheck_hop_table_metric;
+        ] );
+      ( "derived",
+        [
+          Alcotest.test_case "topology matches list reference" `Quick test_topology_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_derived_matches_scans;
+          QCheck_alcotest.to_alcotest qcheck_grow_then_clear;
         ] );
       ( "context",
         [

@@ -167,6 +167,69 @@ let corrupt_and_check mutate =
   let m' = mutate { m with Mapping.binding = Array.copy m.Mapping.binding; routes = Array.copy m.Mapping.routes } in
   Check.validate p m' <> []
 
+(* Fuzz: valid mappings with bindings, hops and holds moved onto PEs
+   drawn from [-3, npe + 3].  The validator must never raise (the arch
+   queries index arrays, so an unchecked out-of-range PE would), and
+   must report a violation whenever a PE left the array; Repair must
+   refuse such a mapping cleanly. *)
+let fuzz_cases =
+  lazy
+    (let faulted = Cgra.with_faults cgra44 (Cgra.inject_faults cgra44 ~seed:101 ~n:3) in
+     List.concat_map
+       (fun (k : Kernels.t) ->
+         List.filter_map
+           (fun cgra ->
+             let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:16 () in
+             match Ocgra_mappers.Constructive.map p (Rng.create 42) with
+             | Some m, _, _ -> Some (p, m)
+             | None, _, _ -> None)
+           [ cgra44; faulted ])
+       [ Kernels.fir4 (); Kernels.saxpy (); Kernels.iir2 () ])
+
+let qcheck_validate_out_of_range_pes =
+  QCheck.Test.make ~name:"off-array PEs: validate reports, repair refuses" ~count:300
+    QCheck.(pair small_nat (int_range 1 4))
+    (fun (seed, n_mutations) ->
+      let cases = Lazy.force fuzz_cases in
+      let rng = Rng.create seed in
+      let p, m = List.nth cases (Rng.int rng (List.length cases)) in
+      let npe = Cgra.pe_count p.Problem.cgra in
+      let binding = Array.copy m.Mapping.binding and routes = Array.copy m.Mapping.routes in
+      let draw () = Rng.int rng (npe + 7) - 3 in
+      for _ = 1 to n_mutations do
+        let e = Rng.int rng (Array.length routes) in
+        if Rng.bool rng || routes.(e) = [] then begin
+          let v = Rng.int rng (Array.length binding) in
+          binding.(v) <- (draw (), snd binding.(v))
+        end
+        else begin
+          let k = Rng.int rng (List.length routes.(e)) in
+          routes.(e) <-
+            List.mapi
+              (fun i step ->
+                if i <> k then step
+                else
+                  match step with
+                  | Mapping.Hop h -> Mapping.Hop { h with pe = draw () }
+                  | Mapping.Hold h -> Mapping.Hold { h with pe = draw () })
+              routes.(e)
+        end
+      done;
+      let m' = { m with Mapping.binding; routes } in
+      let off pe = pe < 0 || pe >= npe in
+      let escaped =
+        Array.exists (fun (pe, _) -> off pe) binding
+        || Array.exists
+             (List.exists (function Mapping.Hop { pe; _ } | Mapping.Hold { pe; _ } -> off pe))
+             routes
+      in
+      let violations = Check.validate p m' in
+      let repaired = Repair.repair p m' in
+      if escaped && violations = [] then QCheck.Test.fail_report "no violation for an off-array PE";
+      if escaped && repaired.Repair.mapping <> None then
+        QCheck.Test.fail_reportf "repair accepted an off-array PE: %s" repaired.Repair.note;
+      true)
+
 let test_checker_catches_bad_pe () =
   checkb "bad pe" true
     (corrupt_and_check (fun m ->
@@ -347,6 +410,7 @@ let () =
           Alcotest.test_case "dropped route" `Quick test_checker_catches_dropped_route;
           Alcotest.test_case "double booking" `Quick test_checker_catches_double_booking;
           Alcotest.test_case "bad ii" `Quick test_checker_catches_wrong_ii;
+          QCheck_alcotest.to_alcotest qcheck_validate_out_of_range_pes;
         ] );
       ( "occupancy",
         [

@@ -267,6 +267,110 @@ let test_list_schedule_properties () =
         times;
       Hashtbl.iter (fun _ c -> checkb "capacity" true (c <= 16)) count
 
+(* modulo-greedy's exact output is pinned: II, attempt count and an
+   MD5 of binding plus routes per (array, kernel), recorded before the
+   router and the derived arch view were optimised.  Any change to a
+   placement, a route, an RNG draw or a visit order shows up here. *)
+let mapping_digest (m : Mapping.t) =
+  let module Json = Ocgra_obs.Json in
+  let int = Json.of_int in
+  let step = function
+    | Mapping.Hop { pe; time } -> Json.Arr [ Json.Str "hop"; int pe; int time ]
+    | Mapping.Hold { pe; from_; until } -> Json.Arr [ Json.Str "hold"; int pe; int from_; int until ]
+  in
+  Json.Obj
+    [
+      ("ii", int m.ii);
+      ( "binding",
+        Json.Arr (Array.to_list (Array.map (fun (pe, t) -> Json.Arr [ int pe; int t ]) m.binding)) );
+      ("routes", Json.Arr (Array.to_list (Array.map (fun r -> Json.Arr (List.map step r)) m.routes)));
+    ]
+  |> Json.write |> Digest.string |> Digest.to_hex
+
+let pinned_modulo_greedy =
+  [
+    ("mesh", "dot-product", Some (1, "b49c8b1eddbe31176ee7ea5af8ec2bc2"), 1);
+    ("mesh", "saxpy", Some (1, "cdd3d0ff899346bad1523195b8308a1a"), 14);
+    ("mesh", "fir4", Some (2, "ac12bdff04c674558dd82e1d5287dad8"), 17);
+    ("mesh", "iir2", Some (3, "ac24a1e3dfc0cfa3bf1157b1b5ffbd74"), 1);
+    ("mesh", "sobel-row", Some (3, "035583c29dd8522f15d77961c451985f"), 43);
+    ("mesh", "horner", Some (2, "f3e67fbb80777d88f40c5eb212eaaae4"), 2);
+    ("mesh", "fft-butterfly", Some (4, "cad8c1782add54580de0b66f4cd4e581"), 40);
+    ("mesh", "running-max", Some (2, "e5c7a882f347d22b587e21f05b1c7dc4"), 1);
+    ("mesh", "absdiff", Some (2, "3edd872f1d01bd700574a3a9089e25d8"), 23);
+    ("mesh", "mix-round", Some (5, "5703d64aed4a03b956971e44bb249731"), 49);
+    ("mesh", "matvec2", Some (2, "5208fa10ff80247c47a95bfb57338120"), 17);
+    ("mesh", "prefix-sum", Some (1, "19d76cce5081085f3005bee45f48f3ab"), 1);
+    ("mesh", "cmac", Some (2, "80af0b2c72ffab1db0ff6f5022391d28"), 17);
+    ("mesh", "moving-avg3", Some (2, "f066d7e96f2dd742ef88e5f25815c0c1"), 17);
+    ("mesh", "alpha-blend", Some (2, "fe28aa522288b05f9993637400aa2419"), 17);
+    ("mesh", "conv3-store", Some (3, "a43955a9a050231616be2125e24ba10c"), 21);
+    ("torus", "dot-product", Some (1, "91d9a3628c1897a8a268ea4392f8f472"), 1);
+    ("torus", "saxpy", Some (1, "b404ef66171655e350480332548f5722"), 7);
+    ("torus", "fir4", Some (2, "a3b615b113c346e681bc5ad44ac5ceac"), 18);
+    ("torus", "iir2", Some (3, "ac24a1e3dfc0cfa3bf1157b1b5ffbd74"), 1);
+    ("torus", "sobel-row", Some (2, "ed60bc4e7b7a74944cde06e45505e70c"), 21);
+    ("torus", "horner", Some (2, "a0f8848b0e8c219f71b4e0addc22c138"), 1);
+    ("torus", "fft-butterfly", Some (3, "cf553b8b4ca57dd3be5e24feab37f399"), 20);
+    ("torus", "running-max", Some (2, "e5c7a882f347d22b587e21f05b1c7dc4"), 1);
+    ("torus", "absdiff", Some (2, "25066f7010659a63988cce37d9bc2226"), 19);
+    ("torus", "mix-round", Some (5, "3281fa01029938113200dbbbfcfc2306"), 49);
+    ("torus", "matvec2", Some (1, "d68ea43e31fd4b5b98b89ff2611422cd"), 14);
+    ("torus", "prefix-sum", Some (1, "264b20db1568615472c714040f72f677"), 1);
+    ("torus", "cmac", Some (2, "2d5062af5e2c4c8b1ebe1f38d2168afc"), 17);
+    ("torus", "moving-avg3", Some (2, "8deebf2a82a4155ef72ada24165ee5c3"), 17);
+    ("torus", "alpha-blend", Some (2, "615dd7d237581d54a4b11e1e4f825602"), 17);
+    ("torus", "conv3-store", Some (3, "2ec6ed8b3e0f9425a05dd3e064cd632d"), 17);
+    ("mesh-f3", "dot-product", Some (1, "263630d51d5f2c427249960a89376cda"), 2);
+    ("mesh-f3", "saxpy", Some (1, "07b93c1adde147bd1f15e34a2088a78b"), 1);
+    ("mesh-f3", "fir4", Some (3, "93827e5c90c768bb5828b23f64802882"), 37);
+    ("mesh-f3", "iir2", Some (3, "d24246c87681eda5b3706b5d1d8b37cd"), 7);
+    ("mesh-f3", "sobel-row", Some (3, "0af1acdd64378866bf8c8f9f3561e1e7"), 44);
+    ("mesh-f3", "horner", Some (2, "54a988639f4d5705953e7e7e3d0e0a12"), 3);
+    ("mesh-f3", "fft-butterfly", Some (4, "75d0c1d8240da647b5c0ee33a4d95c03"), 34);
+    ("mesh-f3", "running-max", Some (2, "49cca08e003fa6ec49bb4c264be44fd3"), 1);
+    ("mesh-f3", "absdiff", Some (2, "3cc3e6d419492ef09c337fdb442c0de7"), 25);
+    ("mesh-f3", "mix-round", Some (5, "efe6450eb9e834453eb31dc470978c05"), 58);
+    ("mesh-f3", "matvec2", Some (2, "2d3cb606fae6e89921fc6b89426b4bc6"), 17);
+    ("mesh-f3", "prefix-sum", Some (1, "2227a7fb8a9c286ac6e58c0fc4d927a3"), 2);
+    ("mesh-f3", "cmac", Some (3, "4a5391f88e6c3e3da71f409da96a3a97"), 37);
+    ("mesh-f3", "moving-avg3", Some (2, "3af876c844d5bee97873b70fa113a934"), 17);
+    ("mesh-f3", "alpha-blend", Some (2, "48874b7cf0b2d16162454f44b0369e57"), 17);
+    ("mesh-f3", "conv3-store", Some (4, "b76b59e0538c9fa469c35f2ab03caefb"), 33);
+  ]
+
+let test_modulo_greedy_pinned () =
+  let mesh = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 () in
+  let arrays =
+    [
+      ("mesh", mesh);
+      ("torus", Ocgra_arch.Cgra.uniform ~topology:Ocgra_arch.Topology.Torus ~rows:4 ~cols:4 ());
+      ("mesh-f3", Ocgra_arch.Cgra.with_faults mesh (Ocgra_arch.Cgra.inject_faults mesh ~seed:101 ~n:3));
+    ]
+  in
+  let mapper = Ocgra_mappers.Registry.find "modulo-greedy" in
+  let got =
+    List.concat_map
+      (fun (aname, cgra) ->
+        List.map
+          (fun (k : Kernels.t) ->
+            let p = Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:12 () in
+            let o = Mapper.run mapper ~seed:7 p in
+            ( aname,
+              k.name,
+              Option.map (fun (m : Mapping.t) -> (m.ii, mapping_digest m)) o.Mapper.mapping,
+              o.attempts ))
+          (Kernels.all ()))
+      arrays
+  in
+  let show (a, k, m, n) =
+    Printf.sprintf "%s/%s %s attempts %d" a k
+      (match m with None -> "unmapped" | Some (ii, d) -> Printf.sprintf "II %d %s" ii d)
+      n
+  in
+  Alcotest.(check (list string)) "II, attempts, digest" (List.map show pinned_modulo_greedy)
+    (List.map show got)
+
 let () =
   Alcotest.run "mappers"
     [
@@ -281,6 +385,7 @@ let () =
           Alcotest.test_case "spatial recurrence fails" `Quick test_spatial_recurrence_fails;
           Alcotest.test_case "seed determinism" `Quick test_seed_determinism;
           Alcotest.test_case "list scheduler properties" `Quick test_list_schedule_properties;
+          Alcotest.test_case "modulo-greedy output pinned" `Quick test_modulo_greedy_pinned;
         ] );
       ( "incremental sat",
         [

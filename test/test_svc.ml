@@ -303,6 +303,30 @@ let test_wire_pins_committed_stream () =
       | Error e -> Alcotest.fail (line ^ ": " ^ e))
     lines
 
+let test_wire_off_array_faults () =
+  (* a request may name faults on PEs the array does not have: they
+     stay in the mask but mask nothing, and the request is served *)
+  let lookup name =
+    match Kernels.find name with k -> Ok k.Kernels.dfg | exception Invalid_argument m -> Error m
+  in
+  let line =
+    "{\"id\":\"off\",\"kernel\":\"saxpy\",\"rows\":3,\"cols\":3,\"faults\":[[\"pe\",9],\
+     [\"pe\",-1],[\"link\",0,42],[\"link\",-5,1],[\"rf\",17,2],[\"slot\",-2,0]]}"
+  in
+  match Result.bind (Wire.parse_req line) (Wire.to_request ~lookup) with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+      let healthy = Cgra.uniform ~rows:3 ~cols:3 () in
+      checki "mask kept" 6 (List.length (Cgra.faults r.Svc.cgra));
+      for pe = 0 to Cgra.pe_count healthy - 1 do
+        checkb "pe ok" true (Cgra.pe_ok r.Svc.cgra pe);
+        Alcotest.(check (list int)) "reach" (Cgra.reachable_in_one healthy pe)
+          (Cgra.reachable_in_one r.Svc.cgra pe);
+        checki "rf" (Cgra.effective_rf_size healthy pe) (Cgra.effective_rf_size r.Svc.cgra pe)
+      done;
+      let resp = List.hd (Svc.submit_batch (Svc.create config) [ r ]) in
+      checkb "served with a mapping" true (resp.Svc.mapping <> None)
+
 let test_wire_bad_escape_is_one_error () =
   (* a bad \u escape in one line must cost exactly that line an
      error response, never the rest of the stream *)
@@ -426,6 +450,7 @@ let () =
             test_wire_pins_committed_stream;
           Alcotest.test_case "bad escape costs one error line" `Quick
             test_wire_bad_escape_is_one_error;
+          Alcotest.test_case "off-array faults mask nothing" `Quick test_wire_off_array_faults;
         ] );
       ( "properties",
         [
