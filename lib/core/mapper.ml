@@ -89,8 +89,31 @@ type t = {
 
 let make ~name ~citation ~scope ~approach map = { name; citation; scope; approach; map }
 
-let no_mapping ?(note = "") ~attempts ~elapsed_s () =
-  { mapping = None; proven_optimal = false; attempts; elapsed_s; note; trail = [] }
+let answer ?(note = "") ?(elapsed_s = 0.0) ~attempts (mapping, proven) =
+  { mapping; proven_optimal = proven && mapping <> None; attempts; elapsed_s; note; trail = [] }
+
+let no_mapping ?note ~attempts ~elapsed_s () = answer ?note ~elapsed_s ~attempts (None, false)
+
+(* The II sweep of every temporal technique (Section II): only the
+   per-II step differs from one Table I cell to the next.  No modulo
+   schedule beats the MII lower bound, so a mapping found at MII has
+   the optimal II however it was found — the one optimality rule.  A
+   spatial problem has no II to sweep. *)
+let sweep (p : Problem.t) dl step =
+  match p.kind with
+  | Problem.Spatial -> (None, false)
+  | Problem.Temporal { max_ii; _ } ->
+      let mii = Mii.mii p.dfg p.cgra in
+      let rec over_ii ii =
+        if ii > max_ii || Deadline.expired dl then (None, false)
+        else match step ii with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
+      in
+      over_ii (max 1 mii)
+
+(* The same rule for a mapping that did not come out of [sweep]. *)
+let at_mii (p : Problem.t) = function
+  | Some (m : Mapping.t) when not (Problem.is_spatial p) -> m.ii = Mii.mii p.dfg p.cgra
+  | _ -> false
 
 let is_invalid_note note = String.length note >= 7 && String.sub note 0 7 = "INVALID"
 
@@ -120,16 +143,11 @@ let run_d (mapper : t) ?(seed = 42) ?(obs = Obs.off) ~deadline:dl (p : Problem.t
             | violations ->
                 Obs.incr obs "mapper.invalid";
                 finish
-                  {
-                    mapping = None;
-                    proven_optimal = false;
-                    attempts = outcome.attempts;
-                    elapsed_s = 0.0;
-                    note =
-                      Printf.sprintf "INVALID mapping produced by %s: %s" mapper.name
-                        (String.concat " | " violations);
-                    trail = [];
-                  }))
+                  (no_mapping ~attempts:outcome.attempts ~elapsed_s:0.0
+                     ~note:
+                       (Printf.sprintf "INVALID mapping produced by %s: %s" mapper.name
+                          (String.concat " | " violations))
+                     ())))
 
 let run (mapper : t) ?seed ?deadline_s ?obs (p : Problem.t) =
   run_d mapper ?seed ?obs ~deadline:(Deadline.of_seconds deadline_s) p

@@ -66,7 +66,28 @@ val make :
   (Problem.t -> Ocgra_util.Rng.t -> Deadline.t -> Ocgra_obs.Ctx.t -> outcome) ->
   t
 
+(** The one outcome builder: [answer ~attempts (mapping, proven)] is a
+    harness-free outcome whose [proven_optimal] is [proven] on a found
+    mapping and [false] otherwise.  [note] defaults to [""] and
+    [elapsed_s] to [0.0] ({!run} measures its own). *)
+val answer :
+  ?note:string -> ?elapsed_s:float -> attempts:int -> Mapping.t option * bool -> outcome
+
 val no_mapping : ?note:string -> attempts:int -> elapsed_s:float -> unit -> outcome
+
+(** [sweep p dl step] is the II sweep every temporal technique shares:
+    it calls [step ii] for [ii = max 1 MII .. max_ii], stopping at the
+    first mapping or when [dl] has expired before an II.  The flag is
+    "found at MII", the one optimality rule: no modulo schedule beats
+    the MII lower bound.  A spatial problem returns [(None, false)]
+    without calling [step]. *)
+val sweep :
+  Problem.t -> Deadline.t -> (int -> Mapping.t option) -> Mapping.t option * bool
+
+(** The same rule for a mapping that did not come out of {!sweep}:
+    [true] for a temporal mapping whose II is the MII, [false] on a
+    spatial problem, which has no II to minimise. *)
+val at_mii : Problem.t -> Mapping.t option -> bool
 
 (** Run a mapper and validate its output with {!Check.validate}:
     invalid mappings are demoted to failures with the violations in

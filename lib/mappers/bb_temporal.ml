@@ -7,7 +7,8 @@
    immediately so infeasible branches die at the first unroutable
    dependence.  Two pruning knobs: [beam] keeps only that many
    candidates per node (stochastically sampled, as in [24]), and
-   [max_nodes] bounds the search tree. *)
+   [max_nodes] bounds the search tree.  Pruning makes the search
+   incomplete, but a mapping at MII is still optimal. *)
 
 open Ocgra_dfg
 open Ocgra_core
@@ -15,13 +16,15 @@ module Rng = Ocgra_util.Rng
 
 exception Found of Mapping.t
 
-let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
+let beam = 10
+let max_nodes = 40_000
+
+let attempt (p : Problem.t) rng ~ii ~dl =
   let state = Place_route.create p ~ii in
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let order = Array.of_list (Constructive.topo_order_by_height rng p.dfg) in
   let npe = Ocgra_arch.Cgra.pe_count p.cgra in
   let expanded = ref 0 in
-  let complete = ref true in
   let rec go i =
     if i = Array.length order then begin
       match Place_route.to_mapping state with Some m -> raise (Found m) | None -> ()
@@ -46,7 +49,6 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
       let candidates =
         if List.length candidates <= beam then candidates
         else begin
-          complete := false;
           let arr = Array.of_list candidates in
           (* always keep the earliest few, sample the rest *)
           let keep_head = max 1 (beam / 2) in
@@ -64,56 +66,35 @@ let attempt (p : Problem.t) rng ~ii ~beam ~max_nodes ~dl =
               go (i + 1);
               Place_route.unplace state v
             end
-          end
-          else complete := false)
+          end)
         candidates
     end
   in
   match go 0 with
-  | () -> (None, !expanded, !complete)
-  | exception Found m -> (Some m, !expanded, !complete)
+  | () -> (None, !expanded)
+  | exception Found m -> (Some m, !expanded)
 
-let map ?(beam = 10) ?(max_nodes = 40_000) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let result =
-    match p.kind with
-    | Problem.Spatial ->
-        let m, expanded, _ = attempt p rng ~ii:1 ~beam ~max_nodes ~dl in
-        (m, expanded, false)
-    | Problem.Temporal { max_ii; _ } ->
-        let mii = Mii.mii p.dfg p.cgra in
-        let total = ref 0 in
-        let rec over_ii ii =
-          if ii > max_ii || Deadline.expired dl then (None, false)
-          else begin
-            let m, expanded, complete =
-              Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () ->
-                  attempt p rng ~ii ~beam ~max_nodes ~dl)
-            in
-            total := !total + expanded;
-            match m with
-            | Some m -> (Some m, ii = mii && complete)
-            | None -> over_ii (ii + 1)
-          end
-        in
-        let m, proven = over_ii (max 1 mii) in
-        (m, !total, proven)
+let map ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
+  let expanded = ref 0 in
+  let search ii =
+    let m, n = attempt p rng ~ii ~dl:deadline in
+    expanded := !expanded + n;
+    m
   in
-  let _, expanded, _ = result in
-  Ocgra_obs.Ctx.add obs "bb.expanded" expanded;
-  result
+  let m, at_mii =
+    match p.kind with
+    | Problem.Spatial -> (search 1, false)
+    | Problem.Temporal _ ->
+        Mapper.sweep p deadline (fun ii ->
+            Ocgra_obs.Ctx.span obs ~cat:"bb" (Printf.sprintf "bb:ii=%d" ii) (fun () -> search ii))
+  in
+  Ocgra_obs.Ctx.add obs "bb.expanded" !expanded;
+  (m, !expanded, at_mii)
 
 let mapper =
   Mapper.make ~name:"branch-and-bound" ~citation:"Karunaratne et al. [42]; Das et al. [24]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_bb
     (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "DFS over (PE,cycle) with immediate routing and stochastic pruning";
-        trail = [];
-      })
+      let m, attempts, at_mii = map ~deadline:dl ~obs p rng in
+      Mapper.answer ~note:"DFS over (PE,cycle) with immediate routing and stochastic pruning"
+        ~attempts (m, at_mii))

@@ -2,28 +2,21 @@
     [24]): depth-first over (PE, cycle) candidates with immediate
     routing, a per-node beam, and a global node budget. *)
 
-(** One bounded search at a fixed II; returns (mapping, nodes expanded,
-    search was exhaustive). *)
+(** One bounded search at a fixed II (beam 10, at most 40 000 expanded
+    nodes); returns (mapping, nodes expanded). *)
 val attempt :
   Ocgra_core.Problem.t ->
   Ocgra_util.Rng.t ->
   ii:int ->
-  beam:int ->
-  max_nodes:int ->
   dl:Ocgra_core.Deadline.t ->
-  Ocgra_core.Mapping.t option * int * bool
+  Ocgra_core.Mapping.t option * int
 
-(** (mapping, total nodes expanded, proven optimal at MII).
-    [deadline_s] bounds the run in wall-clock seconds (checked per
-    expanded search node).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and the total
-    expanded-node tally ([bb.expanded]). *)
+(** (mapping, total nodes expanded, found at MII) over
+    {!Ocgra_core.Mapper.sweep}, or one search at II = 1 on a spatial
+    problem.  [deadline] is checked per expanded search node and may
+    carry a cancellation hook.  [obs] records one span per candidate II
+    and the total expanded-node tally ([bb.expanded]). *)
 val map :
-  ?beam:int ->
-  ?max_nodes:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -102,45 +102,26 @@ let attempt (p : Problem.t) rng ~hop_table ~ii ~time_slack =
 (* Map at the smallest feasible II with random restarts.  The deadline
    is polled between attempts (each attempt is short), so an expired
    budget surfaces as a clean failure. *)
-let map ?(restarts = 8) ?(time_slack = 6) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
+let map ?(restarts = 8) ?(time_slack = 6) ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
+    (p : Problem.t) rng =
   let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
   let attempts = ref 0 in
-  let result =
+  let restarting ii =
+    let rec go r =
+      if r >= restarts || Deadline.expired deadline then None
+      else begin
+        incr attempts;
+        match attempt p rng ~hop_table ~ii ~time_slack with
+        | Some m -> Some m
+        | None -> go (r + 1)
+      end
+    in
+    go 0
+  in
+  let m, at_mii =
     match p.kind with
-  | Problem.Spatial ->
-      let rec go r =
-        if r >= restarts || Deadline.expired dl then None
-        else begin
-          incr attempts;
-          match attempt p rng ~hop_table ~ii:1 ~time_slack with
-          | Some m -> Some m
-          | None -> go (r + 1)
-        end
-      in
-      (go 0, !attempts, true)
-  | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let rec go r =
-            if r >= restarts || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              match attempt p rng ~hop_table ~ii ~time_slack with
-              | Some m -> Some m
-              | None -> go (r + 1)
-            end
-          in
-          match go 0 with
-          | Some m -> (Some m, ii = mii)
-          | None -> over_ii (ii + 1)
-        end
-      in
-      let m, at_mii = over_ii (max 1 mii) in
-      (m, !attempts, at_mii)
+    | Problem.Spatial -> (restarting 1, false)
+    | Problem.Temporal _ -> Mapper.sweep p deadline restarting
   in
   Ocgra_obs.Ctx.add obs "constructive.attempts" !attempts;
-  result
+  (m, !attempts, at_mii)

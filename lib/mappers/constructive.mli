@@ -27,16 +27,13 @@ val attempt :
   Ocgra_core.Mapping.t option
 
 (** Map at the smallest feasible II with random restarts; returns
-    (mapping, attempts, achieved the MII bound).  [deadline_s] bounds
-    the run in wall-clock seconds (polled between attempts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] receives the total placement-attempt count
-    ([constructive.attempts]). *)
+    (mapping, attempts, found at MII — {!Ocgra_core.Mapper.sweep}'s
+    rule, so [false] on a spatial problem).  [deadline] is polled
+    between attempts and may carry a cancellation hook.  [obs] receives
+    the total placement-attempt count ([constructive.attempts]). *)
 val map :
   ?restarts:int ->
   ?time_slack:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Problem.t ->

@@ -5,19 +5,8 @@
 val attempt :
   Ocgra_core.Problem.t -> Ocgra_util.Rng.t -> ii:int -> Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate-II attempt and the
-    total attempt tally ([ems.attempts]). *)
-val map :
-  ?restarts:int ->
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int * bool
-
+(** Eight restarts per candidate II of {!Ocgra_core.Mapper.sweep}, or
+    at II = 1 on a spatial problem.  [obs] records one span per
+    temporal attempt ([ems:ii=N]) and the attempt tally
+    ([ems.attempts]). *)
 val mapper : Ocgra_core.Mapper.t

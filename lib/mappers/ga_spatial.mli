@@ -1,19 +1,5 @@
-(** GenMap-style spatial mapping by genetic algorithm ([19]). *)
-
-(** (mapping, attempts).  [deadline_s] bounds the run in wall-clock
-    seconds (checked between extractions).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per evolution run and flushes the
-    GA core's tally ([ga.evaluations]). *)
-val map :
-  ?config:Ocgra_meta.Ga.config ->
-  ?extractions:int ->
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int
-
+(** GenMap-style spatial mapping by genetic algorithm ([19]): up to ten
+    evolution runs, each followed by a strict extraction.  [obs] records
+    one span per evolution run and flushes the GA core's tally
+    ([ga.evaluations]). *)
 val mapper : Ocgra_core.Mapper.t

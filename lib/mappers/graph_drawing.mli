@@ -10,19 +10,6 @@ val layout :
     cell. *)
 val snap : Ocgra_core.Problem.t -> float array * float array -> int array option
 
-(** (mapping, attempts).  [deadline_s] bounds the run in wall-clock
-    seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per layout and counts restarts
-    ([graph_drawing.restarts]). *)
-val map :
-  ?restarts:int ->
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int
-
+(** Up to ten layout restarts; [obs] records one span per layout and
+    counts restarts ([graph_drawing.restarts]). *)
 val mapper : Ocgra_core.Mapper.t

@@ -20,46 +20,24 @@ let modulo_mapper =
       | Problem.Spatial ->
           Mapper.no_mapping ~note:"temporal mapper on spatial problem" ~attempts:0 ~elapsed_s:0.0 ()
       | Problem.Temporal _ ->
-          let m, attempts, proven =
-            Constructive.map ~restarts:16 ~deadline:dl ~obs p rng
-          in
-          {
-            Mapper.mapping = m;
-            proven_optimal = proven && m <> None;
-            attempts;
-            elapsed_s = 0.0;
-            note = "iterative modulo scheduling + greedy place-and-route";
-            trail = [];
-          })
+          let m, attempts, at_mii = Constructive.map ~restarts:16 ~deadline:dl ~obs p rng in
+          Mapper.answer ~note:"iterative modulo scheduling + greedy place-and-route" ~attempts
+            (m, at_mii))
 
 let greedy_spatial_mapper =
   Mapper.make ~name:"greedy-spatial" ~citation:"Yoon et al. [23] (baseline); ChordMap [31]"
     ~scope:Taxonomy.Spatial_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, _ =
-        Constructive.map ~restarts:24 ~deadline:dl ~obs p rng
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "topological greedy placement + strict routing at II = 1";
-        trail = [];
-      })
+      let m, attempts, at_mii = Constructive.map ~restarts:24 ~deadline:dl ~obs p rng in
+      Mapper.answer ~note:"topological greedy placement + strict routing at II = 1" ~attempts
+        (m, at_mii))
 
 let constructive_mapper =
   Mapper.make ~name:"constructive" ~citation:"iterative modulo scheduling lineage [12]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven =
+      let m, attempts, at_mii =
         Constructive.map ~restarts:32 ~time_slack:8 ~deadline:dl ~obs p rng
       in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "constructive greedy place-and-route (fallback tier)";
-        trail = [];
-      })
+      Mapper.answer ~note:"constructive greedy place-and-route (fallback tier)" ~attempts
+        (m, at_mii))

@@ -8,18 +8,7 @@
 (** Bind a scheduled DFG; [None] when the embedding search fails. *)
 val bind : Ocgra_core.Problem.t -> ii:int -> int array -> Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between attempts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per embedding attempt and counts
-    attempts ([iso.matches]). *)
-val map :
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int * bool
-
+(** Up to four schedule-and-embed attempts per candidate II of
+    {!Ocgra_core.Mapper.sweep}; [obs] records one span per embedding
+    attempt ([iso:ii=N]) and counts attempts ([iso.matches]). *)
 val mapper : Ocgra_core.Mapper.t

@@ -4,41 +4,33 @@
 
 open Ocgra_core
 
-let map ?(config = { Ocgra_meta.Sa.default_config with max_steps = 20_000 }) ?(extractions = 10)
-    ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off) (p : Problem.t) rng =
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
-  let attempts = ref 0 in
-  let rec go k =
-    if k <= 0 || Deadline.expired dl then None
-    else begin
-      incr attempts;
-      let init = Spatial_common.random_genome p rng in
-      let best, _cost, (stats : Ocgra_meta.Sa.stats) =
-        Ocgra_obs.Ctx.span obs ~cat:"sa" "sa-spatial:anneal" (fun () ->
-            Ocgra_meta.Sa.run ~config rng ~init
-              ~neighbour:(fun rng g -> Spatial_common.mutate p rng g)
-              ~cost:(fun g -> float_of_int (Spatial_common.genome_cost p hop_table g)))
-      in
-      Ocgra_obs.Ctx.add obs "sa.steps" stats.steps;
-      Ocgra_obs.Ctx.add obs "sa.accepted" stats.accepted;
-      match Spatial_common.extract p best with
-      | Some m -> Some m
-      | None -> go (k - 1)
-    end
-  in
-  (go extractions, !attempts)
+let config = { Ocgra_meta.Sa.default_config with max_steps = 20_000 }
+let extractions = 10
 
 let mapper =
   Mapper.make ~name:"sa-spatial" ~citation:"Friedman et al. SPR [49]; SNAFU [33]; DSAGEN [32]"
     ~scope:Taxonomy.Spatial_mapping ~approach:(Taxonomy.Meta_local "SA")
     (fun p rng dl obs ->
-      let m, attempts = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = false;
-        attempts;
-        elapsed_s = 0.0;
-        note = "annealed placement + strict pipeline routing";
-        trail = [];
-      })
+      let hop_table = Ocgra_arch.Cgra.hop_table p.cgra in
+      let attempts = ref 0 in
+      let rec go k =
+        if k <= 0 || Deadline.expired dl then None
+        else begin
+          incr attempts;
+          let init = Spatial_common.random_genome p rng in
+          let best, _cost, (stats : Ocgra_meta.Sa.stats) =
+            Ocgra_obs.Ctx.span obs ~cat:"sa" "sa-spatial:anneal" (fun () ->
+                Ocgra_meta.Sa.run ~config rng ~init
+                  ~neighbour:(fun rng g -> Spatial_common.mutate p rng g)
+                  ~cost:(fun g -> float_of_int (Spatial_common.genome_cost p hop_table g)))
+          in
+          Ocgra_obs.Ctx.add obs "sa.steps" stats.steps;
+          Ocgra_obs.Ctx.add obs "sa.accepted" stats.accepted;
+          match Spatial_common.extract p best with
+          | Some m -> Some m
+          | None -> go (k - 1)
+        end
+      in
+      let m = go extractions in
+      Mapper.answer ~note:"annealed placement + strict pipeline routing" ~attempts:!attempts
+        (m, Mapper.at_mii p m))

@@ -18,18 +18,7 @@ val try_ii :
   obs:Ocgra_obs.Ctx.t ->
   Ocgra_core.Mapping.t option
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (checked between restarts).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per annealing restart. *)
-val map :
-  ?config:Ocgra_meta.Sa.config ->
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int * bool
-
+(** Three annealing restarts per candidate II of
+    {!Ocgra_core.Mapper.sweep}; [obs] records one span per restart
+    ([sa:ii=N]). *)
 val mapper : Ocgra_core.Mapper.t

@@ -340,62 +340,75 @@ let flush_stats obs sat ~ii ~verdict marks =
     mk_ppd = ppd;
   }
 
-let map ?(slack = 3) ?(max_conflicts = 300_000) ?deadline_s ?(deadline = Deadline.none)
-    ?(obs = Ocgra_obs.Ctx.off) ?(incremental = true) (p : Problem.t) rng =
+(* Schedule-window slack past asap + II for every node. *)
+let slack = 3
+
+(* The shared II sweep, with SAT's own proof rule on top of
+   {!Mapper.sweep}'s "found at MII": an answer above MII is also
+   optimal when every smaller II was refuted without hitting the
+   conflict budget. *)
+let map ?(max_conflicts = 300_000) ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
+    ?(incremental = true) (p : Problem.t) rng =
   ignore rng;
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false, "spatial problems use the ILP/heuristic spatial mappers")
-  | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let attempts = ref 0 in
-      (* one shared instance drives the whole sweep; the cold baseline
-         rebuilds a fresh one per candidate II instead *)
-      let shared = if incremental then Some (create_instance p) else None in
-      let rec over_ii ii budget_hit last_stats =
-        if ii > max_ii then (None, !attempts, false, if budget_hit then "budget" else "unsat up to max II")
-        else if Deadline.expired dl then (None, !attempts, false, "deadline")
-        else begin
-          incr attempts;
-          let solve () =
-            let inst =
-              match shared with Some inst -> inst | None -> create_instance p
-            in
-            let g = add_ii inst p ~ii ~slack in
-            let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
-            let stats' = flush_stats obs inst.sat ~ii ~verdict last_stats in
-            (* retire a refuted or abandoned candidate: the unit
-               not-g lets root simplification reclaim its group *)
-            if verdict <> Sat.Sat then begin
-              Sat.add_clause inst.sat [ Sat.negate g ];
-              if incremental then
-                Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.retire"
-                  [ ("ii", Ocgra_obs.Events.Int ii) ]
-            end;
-            (inst, verdict, stats')
-          in
-          match
-            Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) solve
-          with
-          | inst, Sat.Sat, _ ->
-              let m = extract p inst ~ii in
-              (* proven optimal when every smaller II was refuted
-                 without hitting the conflict budget *)
-              (Some m, !attempts, ii = mii || not budget_hit, "")
-          | inst, Sat.Unsat, stats' ->
-              if not (Sat.is_ok inst.sat) && incremental then
-                (* the unguarded fabric itself is contradictory: no II
-                   can ever be satisfiable on this shared instance *)
-                (None, !attempts, false, "unsat up to max II")
-              else
-                (* a cold per-II instance reset the stat baseline *)
-                over_ii (ii + 1) budget_hit (if incremental then stats' else zero_marks)
-          | _, Sat.Unknown, stats' ->
-              over_ii (ii + 1) true (if incremental then stats' else zero_marks)
-        end
+  let should_stop = Deadline.should_stop deadline in
+  let attempts = ref 0 in
+  (* one shared instance drives the whole sweep; the cold baseline
+     rebuilds a fresh one per candidate II instead *)
+  let shared = if incremental && not (Problem.is_spatial p) then Some (create_instance p) else None in
+  let budget_hit = ref false and last_stats = ref zero_marks in
+  (* the unguarded fabric itself is contradictory: no II can ever be
+     satisfiable on this shared instance, so the rest of the sweep is
+     skipped *)
+  let dead = ref false in
+  let last_ii = ref (max 1 (Mii.mii p.dfg p.cgra) - 1) in
+  let step ii =
+    if !dead then None
+    else begin
+      incr attempts;
+      last_ii := ii;
+      let solve () =
+        let inst = match shared with Some inst -> inst | None -> create_instance p in
+        let g = add_ii inst p ~ii ~slack in
+        let verdict = Sat.solve ~max_conflicts ~should_stop ~assumptions:[ g ] inst.sat in
+        let stats' = flush_stats obs inst.sat ~ii ~verdict !last_stats in
+        (* retire a refuted or abandoned candidate: the unit not-g lets
+           root simplification reclaim its group *)
+        if verdict <> Sat.Sat then begin
+          Sat.add_clause inst.sat [ Sat.negate g ];
+          if incremental then
+            Ocgra_obs.Ctx.event obs ~cat:"sat" "sat.retire" [ ("ii", Ocgra_obs.Events.Int ii) ]
+        end;
+        (inst, verdict, stats')
       in
-      over_ii (max 1 mii) false zero_marks
+      let inst, verdict, stats' =
+        Ocgra_obs.Ctx.span obs ~cat:"sat" (Printf.sprintf "sat:ii=%d" ii) solve
+      in
+      (* a cold per-II instance resets the stat baseline *)
+      last_stats := if incremental then stats' else zero_marks;
+      match verdict with
+      | Sat.Sat -> Some (extract p inst ~ii)
+      | Sat.Unsat ->
+          dead := incremental && not (Sat.is_ok inst.sat);
+          None
+      | Sat.Unknown ->
+          budget_hit := true;
+          None
+    end
+  in
+  let m, at_mii = Mapper.sweep p deadline step in
+  let note =
+    match p.kind with
+    | Problem.Spatial -> "spatial problems use the ILP/heuristic spatial mappers"
+    | Problem.Temporal { max_ii; _ } -> (
+        match m with
+        | Some _ when at_mii -> "SAT at MII"
+        | Some _ when not !budget_hit -> "SAT; every smaller II refuted"
+        | Some _ -> "SAT; a smaller II hit the conflict budget"
+        | None when !dead -> "unsat up to max II"
+        | None when !last_ii >= max_ii -> if !budget_hit then "budget" else "unsat up to max II"
+        | None -> "deadline")
+  in
+  (m, !attempts, m <> None && (at_mii || not !budget_hit), note)
 
 let make_mapper ~name ~incremental =
   Mapper.make ~name ~citation:"Miyasaka et al. [17]"
@@ -403,14 +416,7 @@ let make_mapper ~name ~incremental =
     (fun p rng dl obs ->
       let t0 = Deadline.now () in
       let m, attempts, proven, note = map ~deadline:dl ~obs ~incremental p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = Deadline.now () -. t0;
-        note;
-        trail = [];
-      })
+      Mapper.answer ~note ~elapsed_s:(Deadline.now () -. t0) ~attempts (m, proven))
 
 let mapper = make_mapper ~name:"sat" ~incremental:true
 

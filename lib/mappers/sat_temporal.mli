@@ -11,21 +11,20 @@
     with a unit against their guard.  Learnt clauses, VSIDS activity
     and saved phases carry across the sweep (DESIGN.md §4i). *)
 
-(** (mapping, attempts, proven optimal, note).  [deadline_s] bounds the
-    run in wall-clock seconds (threaded into the CDCL search as a
-    [should_stop] hook).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and flushes the
-    solver's conflict/decision/propagation tallies as per-II deltas
+(** (mapping, attempts, proven optimal, note) over
+    {!Ocgra_core.Mapper.sweep}.  Proven optimal means found at MII, or
+    every smaller II refuted without hitting [max_conflicts].  A failed
+    sweep's note says why it stopped: ["budget"], ["unsat up to max
+    II"] or ["deadline"].  [deadline] is threaded into the CDCL search
+    as a [should_stop] hook and may carry a cancellation hook.  [obs]
+    records one span per candidate II and flushes the solver's
+    conflict/decision/propagation tallies as per-II deltas
     ([sat.conflicts], ...).  [incremental:false] restores the
     cold-per-II baseline (a fresh solver per candidate II); cold and
     incremental sweeps reach the same verdict and the same final II,
     though not necessarily the same model. *)
 val map :
-  ?slack:int ->
   ?max_conflicts:int ->
-  ?deadline_s:float ->
   ?deadline:Ocgra_core.Deadline.t ->
   ?obs:Ocgra_obs.Ctx.t ->
   ?incremental:bool ->

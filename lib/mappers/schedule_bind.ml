@@ -53,53 +53,39 @@ let greedy_bind (p : Problem.t) rng ~ii times =
   in
   if ok then Place_route.to_mapping state else None
 
-let with_schedule ?(obs = Ocgra_obs.Ctx.off) ?(tag = "sched-bind") (p : Problem.t) rng ~restarts
-    ~dl bind =
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      let mii = Mii.mii p.dfg p.cgra in
-      let attempts = ref 0 in
-      let rec over_ii ii =
-        if ii > max_ii || Deadline.expired dl then (None, false)
-        else begin
-          let rec go r =
-            if r >= restarts || Deadline.expired dl then None
-            else begin
-              incr attempts;
-              Ocgra_obs.Ctx.incr obs "sched.attempts";
-              match Sched.modulo_list_schedule p rng ~ii with
-              | None -> None (* schedule infeasible at this II *)
-              | Some times -> (
-                  match
-                    Ocgra_obs.Ctx.span obs ~cat:"sched" (Printf.sprintf "%s:ii=%d" tag ii)
-                      (fun () -> bind ~ii times)
-                  with
-                  | Some m -> Some m
-                  | None -> go (r + 1))
-            end
-          in
-          match go 0 with Some m -> (Some m, ii = mii) | None -> over_ii (ii + 1)
-        end
-      in
-      let m, proven = over_ii (max 1 mii) in
-      (m, !attempts, proven)
+(* The shared II sweep with, per candidate II, up to [restarts] list
+   schedules each handed to [bind]. *)
+let with_schedule ?(obs = Ocgra_obs.Ctx.off) ?(tag = "sched-bind") ~note (p : Problem.t) rng
+    ~restarts ~dl bind =
+  let attempts = ref 0 in
+  let result =
+    Mapper.sweep p dl (fun ii ->
+        let rec go r =
+          if r >= restarts || Deadline.expired dl then None
+          else begin
+            incr attempts;
+            Ocgra_obs.Ctx.incr obs "sched.attempts";
+            match Sched.modulo_list_schedule p rng ~ii with
+            | None -> None (* schedule infeasible at this II *)
+            | Some times -> (
+                match
+                  Ocgra_obs.Ctx.span obs ~cat:"sched" (Printf.sprintf "%s:ii=%d" tag ii)
+                    (fun () -> bind ~ii times)
+                with
+                | Some m -> Some m
+                | None -> go (r + 1))
+          end
+        in
+        go 0)
+  in
+  Mapper.answer ~note ~attempts:!attempts result
 
 let list_scheduling =
   Mapper.make ~name:"list-scheduling" ~citation:"Zhao et al. [36]; Das et al. [24]; Bansal et al. [51]"
     ~scope:Taxonomy.Scheduling_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"list-sched" p rng ~restarts:10 ~dl (greedy_bind p rng)
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "modulo list scheduling + greedy binding";
-        trail = [];
-      })
+      with_schedule ~obs ~tag:"list-sched" ~note:"modulo list scheduling + greedy binding" p rng
+        ~restarts:10 ~dl (greedy_bind p rng))
 
 (* ---------- clique-based binding ---------- *)
 
@@ -157,17 +143,8 @@ let clique_binding =
   Mapper.make ~name:"clique-binding" ~citation:"Dave et al. RAMP [38]; Hamzeh et al. REGIMap [46]"
     ~scope:Taxonomy.Binding_only ~approach:Taxonomy.Heuristic
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"clique" p rng ~restarts:4 ~dl (clique_bind ~obs p)
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "compatibility-graph maximum clique binding";
-        trail = [];
-      })
+      with_schedule ~obs ~tag:"clique" ~note:"compatibility-graph maximum clique binding" p rng
+        ~restarts:4 ~dl (clique_bind ~obs p))
 
 (* ---------- QEA binding ---------- *)
 
@@ -234,14 +211,5 @@ let qea_binding =
   Mapper.make ~name:"qea-binding" ~citation:"Lee et al. [48]"
     ~scope:Taxonomy.Binding_only ~approach:(Taxonomy.Meta_population "QEA")
     (fun p rng dl obs ->
-      let m, attempts, proven =
-        with_schedule ~obs ~tag:"qea" p rng ~restarts:6 ~dl (qea_bind ~obs p rng)
-      in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "quantum-inspired evolutionary binding on a fixed schedule";
-        trail = [];
-      })
+      with_schedule ~obs ~tag:"qea" ~note:"quantum-inspired evolutionary binding on a fixed schedule"
+        p rng ~restarts:6 ~dl (qea_bind ~obs p rng))

@@ -115,45 +115,23 @@ let try_ii (p : Problem.t) ~ii ~routing_retries ~should_stop ~obs =
   flush_stats obs smt;
   result
 
-let map ?(routing_retries = 6) ?deadline_s ?(deadline = Deadline.none) ?(obs = Ocgra_obs.Ctx.off)
-    (p : Problem.t) rng =
-  ignore rng;
-  let dl = Deadline.sooner deadline (Deadline.of_seconds deadline_s) in
-  let should_stop = Deadline.should_stop dl in
-  match p.kind with
-  | Problem.Spatial -> (None, 0, false)
-  | Problem.Temporal { max_ii; _ } ->
-      (* restricted routing caps the op count at the PE count *)
-      if Dfg.node_count p.dfg > Ocgra_arch.Cgra.pe_count p.cgra then (None, 0, false)
-      else begin
-        let mii = Mii.mii p.dfg p.cgra in
-        let attempts = ref 0 in
-        let rec over_ii ii =
-          if ii > max_ii || Deadline.expired dl then (None, false)
-          else begin
-            incr attempts;
-            match
-              Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
-                  try_ii p ~ii ~routing_retries ~should_stop ~obs)
-            with
-            | Some m -> (Some m, ii = mii)
-            | None -> over_ii (ii + 1)
-          end
-        in
-        let m, proven = over_ii (max 1 mii) in
-        (m, !attempts, proven)
-      end
+let routing_retries = 6
 
 let mapper =
   Mapper.make ~name:"smt" ~citation:"Donovick et al. [44]"
     ~scope:Taxonomy.Temporal_mapping ~approach:Taxonomy.Exact_smt
-    (fun p rng dl obs ->
-      let m, attempts, proven = map ~deadline:dl ~obs p rng in
-      {
-        Mapper.mapping = m;
-        proven_optimal = proven && m <> None;
-        attempts;
-        elapsed_s = 0.0;
-        note = "difference-logic schedule + propositional placement (restricted routing)";
-        trail = [];
-      })
+    (fun p _rng dl obs ->
+      let should_stop = Deadline.should_stop dl in
+      let attempts = ref 0 in
+      let result =
+        (* restricted routing caps the op count at the PE count *)
+        if Dfg.node_count p.dfg > Ocgra_arch.Cgra.pe_count p.cgra then (None, false)
+        else
+          Mapper.sweep p dl (fun ii ->
+              incr attempts;
+              Ocgra_obs.Ctx.span obs ~cat:"smt" (Printf.sprintf "smt:ii=%d" ii) (fun () ->
+                  try_ii p ~ii ~routing_retries ~should_stop ~obs))
+      in
+      Mapper.answer
+        ~note:"difference-logic schedule + propositional placement (restricted routing)"
+        ~attempts:!attempts result)

@@ -3,21 +3,10 @@
     difference logic with placement-conditional atoms; routing is lazy
     with placement blocking clauses. *)
 
-(** (mapping, attempts, proven optimal at MII).  [deadline_s] bounds
-    the run in wall-clock seconds (threaded into the lazy SMT loop and
-    the inner SAT search).
-    [deadline] additionally threads an externally built deadline --
-    including any attached cancellation hook -- into the same stop
-    signal.  [obs] records one span per candidate II and flushes the
-    lazy-SMT tallies ([sat.conflicts], [sat.decisions],
-    [sat.propagations], [smt.rounds]). *)
-val map :
-  ?routing_retries:int ->
-  ?deadline_s:float ->
-  ?deadline:Ocgra_core.Deadline.t ->
-  ?obs:Ocgra_obs.Ctx.t ->
-  Ocgra_core.Problem.t ->
-  Ocgra_util.Rng.t ->
-  Ocgra_core.Mapping.t option * int * bool
-
+(** One lazy-SMT solve per candidate II of {!Ocgra_core.Mapper.sweep},
+    each with up to six placement-blocking routing retries; threads the
+    deadline into the lazy loop and the inner SAT search.  [obs] records
+    one span per candidate II and flushes the lazy-SMT tallies
+    ([sat.conflicts], [sat.decisions], [sat.propagations],
+    [smt.rounds]). *)
 val mapper : Ocgra_core.Mapper.t

@@ -8,6 +8,23 @@ OCGRA="$1"
 
 "$OCGRA" map -k fir4 -m modulo-greedy | grep -q "mapped:"
 
+# every mapper — the listed Table I cells plus the extras — answers
+# both problem kinds cleanly: a mapping or an explicit failure line,
+# never a crash
+MAPPERS=$("$OCGRA" list | sed -n '/^mappers/,$p' | awk 'NR > 1 { print $1 }')
+for M in $MAPPERS constructive sat-cold; do
+  for KIND in "" --spatial; do
+    OUT=$("$OCGRA" map -k dot-product -m "$M" --deadline 10 $KIND) || {
+      echo "map -m $M $KIND exited nonzero" >&2
+      exit 1
+    }
+    echo "$OUT" | grep -Eq "^(mapped:|mapping failed)" || {
+      echo "map -m $M $KIND gave no verdict" >&2
+      exit 1
+    }
+  done
+done
+
 # the headline robustness path: two injected faults, a wall-clock
 # budget, and a three-tier fallback chain; must end in a verified run
 "$OCGRA" sim -k fir4 -m sat --faults 2 --fault-seed 7 --deadline 5 \

@@ -23,8 +23,18 @@ let fast = [ "greedy-spatial"; "graph-drawing"; "sa-spatial"; "genmap-ga"; "modu
              "list-scheduling"; "ilp-schedule"; "dresc-sa" ]
 
 (* THE invariant: raw mapper output (before Mapper.run's demotion)
-   always passes the independent validator *)
+   always passes the independent validator — on the mapper's own
+   problem kind and on the other one, for the Table I registry and the
+   extras.  No mapper raises, and every mapper but SAT (whose proof
+   also covers refuted smaller IIs) claims an optimal II exactly when
+   it maps a temporal problem at MII; ilp-schedule never revisits the
+   II, so it may only under-claim. *)
 let test_every_mapper_output_validates () =
+  let other_kind (mapper : Mapper.t) (k : Kernels.t) =
+    if mapper.scope = Taxonomy.Spatial_mapping then
+      Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra:cgra44 ~max_ii:12 ()
+    else Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra:cgra_diag ()
+  in
   List.iter
     (fun (mapper : Mapper.t) ->
       let kernels =
@@ -33,18 +43,33 @@ let test_every_mapper_output_validates () =
       in
       List.iter
         (fun (k : Kernels.t) ->
-          let p = problem_for mapper k in
-          let rng = Rng.create 7 in
-          let outcome = mapper.map p rng Deadline.none Ocgra_obs.Ctx.off in
-          match outcome.Mapper.mapping with
-          | None -> () (* failing to map is allowed; lying is not *)
-          | Some m ->
-              let violations = Check.validate p m in
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s on %s is valid" mapper.name k.name)
-                [] violations)
+          List.iter
+            (fun (p : Problem.t) ->
+              let what =
+                Printf.sprintf "%s on %s (%s)" mapper.name k.name
+                  (if Problem.is_spatial p then "spatial" else "temporal")
+              in
+              let outcome =
+                try mapper.map p (Rng.create 7) Deadline.none Ocgra_obs.Ctx.off
+                with e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+              in
+              match outcome.Mapper.mapping with
+              | None ->
+                  (* failing to map is allowed; lying is not *)
+                  checkb (what ^ " claims nothing") false outcome.Mapper.proven_optimal
+              | Some m -> (
+                  Alcotest.(check (list string)) (what ^ " is valid") [] (Check.validate p m);
+                  let at_mii =
+                    (not (Problem.is_spatial p)) && m.Mapping.ii = Mii.mii p.dfg p.cgra
+                  in
+                  match mapper.name with
+                  | "sat" | "sat-cold" -> ()
+                  | "ilp-schedule" ->
+                      if outcome.Mapper.proven_optimal then checkb (what ^ " claim at MII") true at_mii
+                  | _ -> checkb (what ^ " claims optimal iff at MII") at_mii outcome.Mapper.proven_optimal))
+            [ problem_for mapper k; other_kind mapper k ])
         kernels)
-    Ocgra_mappers.Registry.all
+    (Ocgra_mappers.Registry.all @ Ocgra_mappers.Registry.extras)
 
 (* temporal mappers should all map the easy kernels *)
 let test_easy_kernels_map () =

@@ -353,6 +353,39 @@ let test_wire_bad_escape_is_one_error () =
     "statuses in input order" [ "ok"; "error"; "ok" ]
     (List.rev_map status !out)
 
+let test_wire_kind_mismatch_is_a_plain_rejection () =
+  (* a temporal-only mapper handed a spatial request declines it: the
+     response is an ordinary rejection, and the supervisor neither
+     retries nor quarantines the cold map *)
+  let lookup name =
+    match Kernels.find name with k -> Ok k.Kernels.dfg | exception Invalid_argument m -> Error m
+  in
+  let obs = Ocgra_obs.Ctx.create () in
+  let t =
+    Svc.create ~obs { config with Svc.chain = [ Ocgra_mappers.Registry.find "dresc-sa" ] }
+  in
+  let out = ref [] in
+  let errors =
+    Wire.serve_lines ~lookup ~batch:1 t
+      [ "{\"id\":\"a\",\"kernel\":\"saxpy\",\"spatial\":true}" ]
+      (fun l -> out := l :: !out)
+  in
+  checki "no error lines" 0 errors;
+  (match !out with
+  | [ line ] ->
+      let field name =
+        match Ocgra_obs.Json.(Result.bind (parse line) (field name string)) with
+        | Ok s -> s
+        | Error e -> Alcotest.fail e
+      in
+      Alcotest.(check string) "rejected" "rejected" (field "status");
+      checkb ("not quarantined: " ^ field "note") false
+        (String.starts_with ~prefix:"cold map quarantined" (field "note"))
+  | l -> Alcotest.failf "expected one response line, got %d" (List.length l));
+  let counter = Ocgra_obs.Metrics.get (Ocgra_obs.Ctx.metrics obs) in
+  checki "no supervisor retries" 0 (counter "supervise.retries");
+  checki "nothing quarantined" 0 (counter "supervise.quarantined")
+
 (* ---------- worker-count invariance + certification (QCheck) ---------- *)
 
 let qcheck_iso_requests_certify =
@@ -451,6 +484,8 @@ let () =
           Alcotest.test_case "bad escape costs one error line" `Quick
             test_wire_bad_escape_is_one_error;
           Alcotest.test_case "off-array faults mask nothing" `Quick test_wire_off_array_faults;
+          Alcotest.test_case "kind mismatch is a plain rejection" `Quick
+            test_wire_kind_mismatch_is_a_plain_rejection;
         ] );
       ( "properties",
         [
