@@ -8,9 +8,11 @@
      dune exec bench/main.exe -- t1b-only [journal=FILE] [resume]
                                          just the empirical sweep, with
                                          optional crash-safe checkpointing
-     dune exec bench/main.exe -- repair-only     just the repair-ladder walk
-     dune exec bench/main.exe -- sat-sweep-only  just the incremental-vs-cold
-                                                 SAT II-sweep comparison *)
+
+   The repair-ladder walk, the cold-versus-incremental SAT sweep and the
+   committed serve-stream replay are pinned exactly in the dune tests
+   (test_repair, test_mappers, test_svc); their wall time is measured by
+   perfbench/. *)
 
 module Table = Ocgra_util.Table
 module Kernels = Ocgra_workloads.Kernels
@@ -19,9 +21,6 @@ module Json = Ocgra_obs.Json
 let args = List.tl (Array.to_list Sys.argv)
 let quick = List.mem "quick" args
 let t1b_only = List.mem "t1b-only" args
-let repair_only = List.mem "repair-only" args
-let sat_sweep_only = List.mem "sat-sweep-only" args
-let serve_only = List.mem "serve-only" args
 let bench_resume = List.mem "resume" args
 
 let bench_journal =
@@ -35,10 +34,10 @@ let bench_journal =
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
-(* Every BENCH_*.json snapshot opens with the same stamp: a schema
-   version plus the bench name, which is what lets `ocgra report`
-   refuse to compare snapshots of different shape or vintage.  Bump
-   the version whenever a writer changes shape. *)
+(* The BENCH_PR6.json snapshot opens with a stamp: a schema version
+   plus the bench name, so a reader can tell snapshots of different
+   shape or vintage apart.  Bump the version whenever the writer
+   changes shape. *)
 let bench_schema = 1
 
 let int = Json.of_int
@@ -48,8 +47,6 @@ let int_opt = function Some n -> int n | None -> Json.Null
 let fixed digits x =
   let scale = 10.0 ** float_of_int digits in
   Json.Num (Float.round (x *. scale) /. scale)
-
-let fixed_opt digits = function Some x -> fixed digits x | None -> Json.Null
 
 let write_snapshot path name fields =
   Ocgra_obs.Export.write_file path
@@ -305,292 +302,6 @@ let t1b () =
   | [] -> ()
   | q -> Printf.printf "  quarantined: %d cell(s) kept failing and print as ERR\n" (List.length q));
   print_endline "  machine-readable sweep written to BENCH_PR6.json"
-
-(* ------------------------------------------------------------------ *)
-(* PR7: repair ladder vs cold remap under escalating faults            *)
-(* ------------------------------------------------------------------ *)
-
-(* One survivor walk per kernel: escalating seeded permanent faults,
-   each step salvaged by the certified repair ladder *and* cold-solved
-   from scratch on the same mask, so every step prices the incremental
-   path against the full remap it replaces.  The machine-readable
-   snapshot (BENCH_PR7.json) carries per-step rung/II/time records and
-   two medians: over all surviving steps, and over the incremental
-   rungs only (untouched excluded — those are free by construction). *)
-
-let median_of floats =
-  match List.sort compare floats with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      Some ((List.nth sorted ((n - 1) / 2) +. List.nth sorted (n / 2)) /. 2.0)
-
-let write_repair_json path ~seed ~steps_per_kernel results =
-  let step_records =
-    List.concat_map
-      (fun (kernel, rep) ->
-        List.map
-          (fun (s : Ocgra_sim.Reliability.survivor_step) -> (kernel, s))
-          rep.Ocgra_sim.Reliability.steps)
-      results
-  in
-  let ratios pred =
-    List.filter_map
-      (fun ((_, s) : string * Ocgra_sim.Reliability.survivor_step) ->
-        match (s.rung, s.scratch_s) with
-        | Some r, Some sc when pred r && s.repair_s > 0.0 -> Some (sc /. s.repair_s)
-        | _ -> None)
-      step_records
-  in
-  let med_all = median_of (ratios (fun _ -> true)) in
-  let med_incr =
-    median_of
-      (ratios (function
-        | Ocgra_core.Mapper.Route_only | Ocgra_core.Mapper.Local_replace -> true
-        | _ -> false))
-  in
-  let certified =
-    List.length (List.filter (fun (_, (s : Ocgra_sim.Reliability.survivor_step)) -> s.rung <> None) step_records)
-  in
-  write_snapshot path "repair-ladder"
-    [
-      ("seed", int seed);
-      ("steps_per_kernel", int steps_per_kernel);
-      ( "steps",
-        Json.Arr
-          (List.map
-             (fun (kernel, (s : Ocgra_sim.Reliability.survivor_step)) ->
-               Json.Obj
-                 [
-                   ("kernel", Json.Str kernel);
-                   ("step", int s.step);
-                   ( "rung",
-                     match s.rung with
-                     | Some r -> Json.Str (Ocgra_core.Mapper.rung_to_string r)
-                     | None -> Json.Null );
-                   ("ii", int_opt s.ii);
-                   ("replayed", Json.Bool s.replayed);
-                   ("repair_s", fixed 6 s.repair_s);
-                   ("scratch_s", fixed_opt 6 s.scratch_s);
-                   ( "speedup",
-                     match (s.rung, s.scratch_s) with
-                     | Some _, Some sc when s.repair_s > 0.0 -> fixed 2 (sc /. s.repair_s)
-                     | _ -> Json.Null );
-                 ])
-             step_records) );
-      ( "summary",
-        Json.Obj
-          [
-            ("kernels", int (List.length results));
-            ("steps", int (List.length step_records));
-            ("certified", int certified);
-            ("median_speedup_all", fixed_opt 2 med_all);
-            ("median_speedup_incremental", fixed_opt 2 med_incr);
-          ] );
-    ];
-  (med_all, med_incr)
-
-let repair_bench () =
-  section "Repair ladder: incremental salvage vs cold remap under escalating faults";
-  let kernels =
-    [
-      Kernels.dot_product (); Kernels.saxpy (); Kernels.fir4 (); Kernels.sobel_row ();
-      Kernels.absdiff ();
-    ]
-  in
-  let chain = [ Ocgra_mappers.Registry.find "modulo-greedy" ] in
-  let iters = 8 and steps = 10 and seed = 1 in
-  let cgra = Ocgra_arch.Cgra.uniform ~rows:4 ~cols:4 () in
-  let results =
-    List.filter_map
-      (fun (k : Kernels.t) ->
-        let p = Ocgra_core.Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:12 () in
-        let o = Ocgra_core.Mapper.run (List.hd chain) ~seed:7 p in
-        match o.mapping with
-        | None -> None
-        | Some m ->
-            let mk_io () = Ocgra_sim.Machine.io_of_streams ~memory:k.memory (k.inputs iters) in
-            let reference = Kernels.eval_reference k ~iters in
-            let expected =
-              List.map
-                (fun name -> (name, Ocgra_dfg.Eval.output_stream reference name))
-                k.outputs
-            in
-            let rep =
-              Ocgra_sim.Reliability.run_survivor ~workers:1 ~chain p m ~mk_io ~iters ~expected
-                ~steps ~seed
-            in
-            Some (k.name, rep))
-      kernels
-  in
-  let rows =
-    List.map
-      (fun (name, (rep : Ocgra_sim.Reliability.survivor_report)) ->
-        [|
-          name;
-          string_of_int rep.survived;
-          (match rep.certified_failure with Some k -> string_of_int k | None -> "-");
-          (match (rep.ii_curve, List.rev rep.ii_curve) with
-          | (_, ii0) :: _, (_, iin) :: _ -> Printf.sprintf "%d -> %d" ii0 iin
-          | _ -> "-");
-          (match rep.repair_vs_scratch with Some x -> Printf.sprintf "%.1fx" x | None -> "-");
-        |])
-      results
-  in
-  Table.print
-    ~headers:[| "kernel"; "survived"; "failure at"; "II curve"; "repair vs scratch" |]
-    rows;
-  let med_all, med_incr = write_repair_json "BENCH_PR7.json" ~seed ~steps_per_kernel:steps results in
-  Printf.printf "  median speedup, all surviving steps: %s\n"
-    (match med_all with Some x -> Printf.sprintf "%.1fx" x | None -> "-");
-  Printf.printf "  median speedup, incremental rungs (route-only/re-place): %s\n"
-    (match med_incr with Some x -> Printf.sprintf "%.1fx" x | None -> "-");
-  print_endline "  machine-readable walk written to BENCH_PR7.json"
-
-(* ------------------------------------------------------------------ *)
-(* PR8: incremental assumption-based II sweep vs cold-per-II           *)
-(* ------------------------------------------------------------------ *)
-
-(* Kernels x grids whose optimal II exceeds MII, so the sweep visits
-   more than one candidate and the shared solver instance actually
-   carries learnt clauses, activities and phases across candidates.
-   Both modes must reach the same final II; the incremental sweep is
-   expected to spend strictly fewer conflicts (conflict counts are
-   deterministic; wall times vary with machine load). *)
-let sat_sweep_cases =
-  [ ("running-max", 2); ("absdiff", 2); ("mix-round", 2); ("matvec2", 3) ]
-
-let sat_sweep_seed = 11
-let sat_sweep_max_ii = 8
-
-type sat_sweep_run = {
-  ss_ii : int option;
-  ss_attempts : int;
-  ss_conflicts : int;
-  ss_decisions : int;
-  ss_propagations : int;
-  ss_time_s : float;
-}
-
-let sat_sweep_run ~incremental (k : Kernels.t) grid =
-  let cgra = Ocgra_arch.Cgra.uniform ~rows:grid ~cols:grid () in
-  let p =
-    Ocgra_core.Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ~max_ii:sat_sweep_max_ii ()
-  in
-  let obs = Ocgra_obs.Ctx.create () in
-  let rng = Ocgra_util.Rng.create sat_sweep_seed in
-  let t0 = Ocgra_core.Deadline.now () in
-  let m, attempts, _, _ = Ocgra_mappers.Sat_temporal.map ~incremental ~obs p rng in
-  let dt = Ocgra_core.Deadline.now () -. t0 in
-  (match m with
-  | Some m when Ocgra_core.Check.validate p m <> [] ->
-      invalid_arg (Printf.sprintf "sat sweep: invalid mapping on %s" k.name)
-  | _ -> ());
-  let mt = Ocgra_obs.Ctx.metrics obs in
-  let get = Ocgra_obs.Metrics.get mt in
-  {
-    ss_ii = Option.map (fun (m : Ocgra_core.Mapping.t) -> m.ii) m;
-    ss_attempts = attempts;
-    ss_conflicts = get "sat.conflicts";
-    ss_decisions = get "sat.decisions";
-    ss_propagations = get "sat.propagations";
-    ss_time_s = dt;
-  }
-
-let sat_sweep_json_run r =
-  Json.Obj
-    [
-      ("ii", int_opt r.ss_ii);
-      ("attempts", int r.ss_attempts);
-      ("conflicts", int r.ss_conflicts);
-      ("decisions", int r.ss_decisions);
-      ("propagations", int r.ss_propagations);
-      ("time_s", fixed 6 r.ss_time_s);
-    ]
-
-let write_sat_sweep_json path rows (tc : sat_sweep_run) (ti : sat_sweep_run) =
-  let verdicts cold inc =
-    [
-      ("conflicts_reduced", Json.Bool (inc.ss_conflicts < cold.ss_conflicts));
-      ("time_reduced", Json.Bool (inc.ss_time_s < cold.ss_time_s));
-    ]
-  in
-  write_snapshot path "sat-incremental-sweep"
-    [
-      ("seed", int sat_sweep_seed);
-      ("max_ii", int sat_sweep_max_ii);
-      ( "kernels",
-        Json.Arr
-          (List.map
-             (fun (kernel, grid, mii, cold, inc) ->
-               Json.Obj
-                 ([
-                    ("kernel", Json.Str kernel);
-                    ("grid", Json.Str (Printf.sprintf "%dx%d" grid grid));
-                    ("mii", int mii);
-                    ("cold", sat_sweep_json_run cold);
-                    ("incremental", sat_sweep_json_run inc);
-                    ("same_ii", Json.Bool (cold.ss_ii = inc.ss_ii));
-                  ]
-                 @ verdicts cold inc))
-             rows) );
-      ( "totals",
-        Json.Obj
-          ([ ("cold", sat_sweep_json_run tc); ("incremental", sat_sweep_json_run ti) ]
-          @ verdicts tc ti) );
-    ]
-
-let sat_sweep_bench () =
-  section "Incremental SAT II sweep: one shared solver vs cold per candidate II";
-  let rows =
-    List.map
-      (fun (name, grid) ->
-        let k = Kernels.find name in
-        let cgra = Ocgra_arch.Cgra.uniform ~rows:grid ~cols:grid () in
-        let mii = Ocgra_core.Mii.mii k.dfg cgra in
-        let cold = sat_sweep_run ~incremental:false k grid in
-        let inc = sat_sweep_run ~incremental:true k grid in
-        (name, grid, mii, cold, inc))
-      sat_sweep_cases
-  in
-  let total runs =
-    List.fold_left
-      (fun acc r ->
-        {
-          acc with
-          ss_conflicts = acc.ss_conflicts + r.ss_conflicts;
-          ss_decisions = acc.ss_decisions + r.ss_decisions;
-          ss_propagations = acc.ss_propagations + r.ss_propagations;
-          ss_time_s = acc.ss_time_s +. r.ss_time_s;
-          ss_attempts = acc.ss_attempts + r.ss_attempts;
-        })
-      { ss_ii = None; ss_attempts = 0; ss_conflicts = 0; ss_decisions = 0;
-        ss_propagations = 0; ss_time_s = 0.0 }
-      runs
-  in
-  let tc = total (List.map (fun (_, _, _, c, _) -> c) rows) in
-  let ti = total (List.map (fun (_, _, _, _, i) -> i) rows) in
-  Table.print
-    ~headers:
-      [| "kernel"; "grid"; "mii"; "II"; "sweeps"; "cold confl"; "incr confl"; "cold s"; "incr s" |]
-    (List.map
-       (fun (name, grid, mii, (c : sat_sweep_run), (i : sat_sweep_run)) ->
-         [|
-           name;
-           Printf.sprintf "%dx%d" grid grid;
-           string_of_int mii;
-           (match i.ss_ii with Some ii -> string_of_int ii | None -> "-");
-           string_of_int i.ss_attempts;
-           string_of_int c.ss_conflicts;
-           string_of_int i.ss_conflicts;
-           Printf.sprintf "%.3f" c.ss_time_s;
-           Printf.sprintf "%.3f" i.ss_time_s;
-         |])
-       rows);
-  Printf.printf "  totals: conflicts %d -> %d, wall %.3fs -> %.3fs\n" tc.ss_conflicts
-    ti.ss_conflicts tc.ss_time_s ti.ss_time_s;
-  write_sat_sweep_json "BENCH_PR8.json" rows tc ti;
-  print_endline "  machine-readable sweep written to BENCH_PR8.json"
 
 (* ------------------------------------------------------------------ *)
 (* F1: architecture-class comparison                                   *)
@@ -1084,198 +795,6 @@ let bechamel_suite () =
         stats)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* Serve: mapping-as-a-service, canonical-form cache                   *)
-(* ------------------------------------------------------------------ *)
-
-(* The request stream is generated (seed-deterministically), committed
-   as SERVE_STREAM.jsonl, and replayed through the same wire codec the
-   daemon uses.  Mix: one cold request per kernel, exact duplicates,
-   isomorphic renamings (random node permutations via [Canon.permute]),
-   three kernels whose fault mask grows in nested seeded steps (repair
-   territory), and one off-architecture request (a genuinely new cache
-   class).  Well over 30% of the stream is duplicate-or-isomorphic, so
-   the cache-hit path dominates and its latency separates cleanly from
-   the cold maps. *)
-
-let serve_seed = 5
-let serve_chunk = 8
-let serve_kernels = [ "dot-product"; "saxpy"; "fir4"; "absdiff"; "running-max"; "horner" ]
-let serve_grow_kernels = [ "saxpy"; "fir4"; "absdiff" ]
-
-let serve_stream () =
-  let module W = Ocgra_svc.Wire in
-  let rng = Ocgra_util.Rng.create serve_seed in
-  let base name = { W.default_req with W.payload = W.Kernel name } in
-  let colds = List.map (fun k -> { (base k) with W.id = "cold-" ^ k }) serve_kernels in
-  (* two nested-mask growth families on disjoint kernel sets (one
-     entry per class — mixing mask shapes on one kernel would make the
-     steps incomparable and force cold maps): a seeded family whose
-     mask grows by re-drawing more faults from the same stream, and an
-     explicit family that knocks out named PEs/links, covering both
-     mask forms of the wire codec *)
-  let grow kernels step faults n =
-    List.map
-      (fun k ->
-        {
-          (base k) with
-          W.id = Printf.sprintf "%s-%s" step k;
-          faults;
-          n_faults = n;
-          fault_seed = 3;
-        })
-      kernels
-  in
-  let seeded n = grow serve_grow_kernels (Printf.sprintf "seed%d" n) [] n in
-  let expl = grow [ "dot-product"; "running-max"; "horner" ] in
-  let m1 = [ Ocgra_arch.Fault.Pe_down 1 ] in
-  let m2 = Ocgra_arch.Fault.Pe_down 2 :: m1 in
-  let m3 = Ocgra_arch.Fault.Link_down (9, 10) :: m2 in
-  let arch = [ { (base "dot-product") with W.id = "arch-5x5"; rows = 5; cols = 5 } ] in
-  (* duplicates and renamings, two of each per kernel, interleaved *)
-  let warm =
-    List.concat_map
-      (fun k ->
-        let dfg = (Ocgra_workloads.Kernels.find k).Ocgra_workloads.Kernels.dfg in
-        List.concat_map
-          (fun i ->
-            let perm =
-              Ocgra_util.Rng.shuffle rng (Array.init (Ocgra_dfg.Dfg.node_count dfg) Fun.id)
-            in
-            [
-              { (base k) with W.id = Printf.sprintf "dup-%s-%d" k i };
-              {
-                W.default_req with
-                W.id = Printf.sprintf "iso-%s-%d" k i;
-                payload = W.Inline (Ocgra_svc.Canon.permute dfg perm);
-              };
-            ])
-          [ 1; 2 ])
-      serve_kernels
-  in
-  colds @ seeded 2 @ expl "mask1" m1 0 @ arch @ warm @ seeded 4 @ expl "mask2" m2 0
-  @ seeded 6 @ expl "mask3" m3 0
-
-let serve_bench () =
-  section "Serve: canonical-form mapping cache + fault-driven incremental remap";
-  let module W = Ocgra_svc.Wire in
-  let module Svc = Ocgra_svc.Svc in
-  let stream = serve_stream () in
-  let oc = open_out "SERVE_STREAM.jsonl" in
-  List.iter (fun r -> output_string oc (W.req_to_json r ^ "\n")) stream;
-  close_out oc;
-  (* replay through the wire codec — the daemon's exact input path *)
-  let lookup name =
-    match Ocgra_workloads.Kernels.find name with
-    | k -> Ok k.Ocgra_workloads.Kernels.dfg
-    | exception Invalid_argument m -> Error m
-  in
-  let reqs =
-    List.map
-      (fun line ->
-        match W.parse_req line with
-        | Ok r -> (
-            match W.to_request ~lookup r with
-            | Ok req -> req
-            | Error m -> failwith ("serve bench: " ^ m))
-        | Error m -> failwith ("serve bench: " ^ m))
-      (Ocgra_par.Journal.read_lines "SERVE_STREAM.jsonl")
-  in
-  let svc =
-    Svc.create
-      {
-        Svc.default_config with
-        Svc.capacity = 64;
-        chain = [ Ocgra_mappers.Registry.find "modulo-greedy" ];
-        workers = Ocgra_par.Pool.default_workers ();
-        seed = 7;
-      }
-  in
-  let t0 = Ocgra_core.Deadline.now () in
-  let rec drain acc = function
-    | [] -> List.rev acc
-    | rest ->
-        let chunk = List.filteri (fun i _ -> i < serve_chunk) rest in
-        let rest = List.filteri (fun i _ -> i >= serve_chunk) rest in
-        drain (List.rev_append (Svc.submit_batch svc chunk) acc) rest
-  in
-  let responses = drain [] reqs in
-  let wall = Ocgra_core.Deadline.now () -. t0 in
-  let lat pred = List.filter_map (fun (r : Svc.response) -> if pred r.Svc.served then Some r.Svc.elapsed_s else None) responses in
-  let hits = lat (function Svc.Hit | Svc.Iso_hit -> true | _ -> false) in
-  let isos = lat (function Svc.Iso_hit -> true | _ -> false) in
-  let repairs = lat (function Svc.Repair_hit _ -> true | _ -> false) in
-  let colds = lat (function Svc.Miss -> true | _ -> false) in
-  let med l = Option.value (median_of l) ~default:0.0 in
-  let p90 l =
-    match List.sort compare l with
-    | [] -> 0.0
-    | s -> List.nth s (min (List.length s - 1) (List.length s * 9 / 10))
-  in
-  let rungs =
-    List.filter_map
-      (fun (r : Svc.response) ->
-        match r.Svc.served with
-        | Svc.Repair_hit rung -> Some (Ocgra_core.Mapper.rung_to_string rung)
-        | _ -> None)
-      responses
-  in
-  let s = Svc.stats svc in
-  let speedup = if med hits > 0.0 then med colds /. med hits else 0.0 in
-  Printf.printf "  %-28s %8s %14s %14s\n" "path" "count" "median" "p90";
-  let row name l =
-    Printf.printf "  %-28s %8d %11.1f us %11.1f us\n" name (List.length l)
-      (med l *. 1e6) (p90 l *. 1e6)
-  in
-  row "hit (exact + isomorphic)" hits;
-  row "  of which isomorphic" isos;
-  row "repair-hit (mask grew)" repairs;
-  row "cold map (miss)" colds;
-  Printf.printf "  hit vs cold speedup: %.0fx%s\n" speedup
-    (if speedup >= 100.0 then "  (>= 100x)" else "  (BELOW 100x)");
-  Printf.printf
-    "  totals: %d requests, %d hits + %d iso + %d repair / %d cold, %d rejected, %d coalesced, \
-     %d demotions, cache %d entries\n"
-    s.Svc.requests s.Svc.hits s.Svc.iso_hits s.Svc.repair_hits s.Svc.misses s.Svc.rejections
-    s.Svc.coalesced s.Svc.demotions s.Svc.entries;
-  write_snapshot "BENCH_PR10.json" "serve"
-    [
-      ("seed", int serve_seed);
-      ("chunk", int serve_chunk);
-      ("requests", int s.Svc.requests);
-      ( "counts",
-        Json.Obj
-          [
-            ("hits", int s.Svc.hits);
-            ("iso_hits", int s.Svc.iso_hits);
-            ("repair_hits", int s.Svc.repair_hits);
-            ("misses", int s.Svc.misses);
-            ("rejections", int s.Svc.rejections);
-            ("coalesced", int s.Svc.coalesced);
-            ("demotions", int s.Svc.demotions);
-            ("entries", int s.Svc.entries);
-            ("evictions", int s.Svc.evictions);
-          ] );
-      ( "rungs",
-        Json.Obj
-          (List.map
-             (fun r -> (r, int (List.length (List.filter (( = ) r) rungs))))
-             (List.sort_uniq compare rungs)) );
-      ( "latency",
-        Json.Obj
-          [
-            ("hit_median_s", fixed 9 (med hits));
-            ("hit_p90_s", fixed 9 (p90 hits));
-            ("iso_hit_median_s", fixed 9 (med isos));
-            ("repair_median_s", fixed 9 (med repairs));
-            ("cold_median_s", fixed 9 (med colds));
-            ("wall_s", fixed 6 wall);
-          ] );
-      ("speedup_hit_vs_cold", fixed 1 speedup);
-      ("speedup_ge_100x", Json.Bool (speedup >= 100.0));
-    ];
-  print_endline "  wrote SERVE_STREAM.jsonl + BENCH_PR10.json"
-
 let run_everything () =
   t1a ();
   f4 ();
@@ -1291,9 +810,6 @@ let run_everything () =
   ab_ii_vs_size ();
   f1 ();
   t1b ();
-  repair_bench ();
-  sat_sweep_bench ();
-  serve_bench ();
   ab_exact_scaling ();
   bechamel_suite ();
   print_endline "\nAll artifacts regenerated."
@@ -1302,17 +818,5 @@ let () =
   if t1b_only then begin
     t1b ();
     print_endline "\nEmpirical sweep regenerated."
-  end
-  else if repair_only then begin
-    repair_bench ();
-    print_endline "\nRepair-ladder walk regenerated."
-  end
-  else if sat_sweep_only then begin
-    sat_sweep_bench ();
-    print_endline "\nSAT incremental-sweep comparison regenerated."
-  end
-  else if serve_only then begin
-    serve_bench ();
-    print_endline "\nServe-cache stream replay regenerated."
   end
   else run_everything ()

@@ -9,8 +9,31 @@
 
 open Cmdliner
 
+(* Names on the command line are resolved while the arguments are
+   parsed, so an unknown one is a one-line usage error (cmdliner's exit
+   124) and never an exception out of a run. *)
+let unknown ?(hint = "see 'ocgra list'") what s =
+  Error (`Msg (Printf.sprintf "unknown %s '%s' (%s)" what s hint))
+
+let named ?hint what resolve name_of =
+  let parse s =
+    match resolve s with v -> Ok v | exception Invalid_argument _ -> unknown ?hint what s
+  in
+  Arg.conv (parse, fun ppf v -> Format.pp_print_string ppf (name_of v))
+
+let mapper_conv =
+  named "mapper" Ocgra_mappers.Registry.find (fun (m : Ocgra_core.Mapper.t) -> m.name)
+
+let chain_conv =
+  let parse spec =
+    match Ocgra_mappers.Registry.chain_of_spec spec with
+    | [] -> Error (`Msg "empty fallback chain")
+    | chain -> Ok chain
+    | exception Invalid_argument _ -> unknown "mapper in fallback chain" spec
+  in
+  Arg.conv (parse, Arg.conv_printer (Arg.list mapper_conv))
+
 let mk_cgra rows cols topology hetero faults fault_seed =
-  let topology = Ocgra_arch.Topology.of_string topology in
   let cgra =
     if hetero then Ocgra_arch.Cgra.adres_like ~topology ~rows ~cols ()
     else Ocgra_arch.Cgra.uniform ~topology ~rows ~cols ()
@@ -22,18 +45,31 @@ let rows_t = Arg.(value & opt int 4 & info [ "rows" ] ~doc:"Array rows.")
 let cols_t = Arg.(value & opt int 4 & info [ "cols" ] ~doc:"Array columns.")
 
 let topo_t =
-  Arg.(value & opt string "mesh" & info [ "topology" ] ~doc:"mesh|torus|diagonal|one-hop|full.")
+  let names = String.concat "|" (List.map Ocgra_arch.Topology.to_string Ocgra_arch.Topology.all) in
+  Arg.(
+    value
+    & opt
+        (named ~hint:("want " ^ names) "topology" Ocgra_arch.Topology.of_string
+           Ocgra_arch.Topology.to_string)
+        Ocgra_arch.Topology.Mesh
+    & info [ "topology" ] ~doc:(names ^ "."))
 
 let hetero_t =
   Arg.(value & flag & info [ "hetero" ] ~doc:"ADRES-like heterogeneous array.")
 
 let kernel_t =
-  Arg.(value & opt string "dot-product" & info [ "k"; "kernel" ] ~doc:"Kernel name.")
+  Arg.(
+    value
+    & opt
+        (named "kernel" Ocgra_workloads.Kernels.find (fun (k : Ocgra_workloads.Kernels.t) ->
+             k.name))
+        (Ocgra_workloads.Kernels.dot_product ())
+    & info [ "k"; "kernel" ] ~doc:"Kernel name (see $(b,list)).")
 
 let mapper_t =
   Arg.(
     value
-    & opt string "modulo-greedy"
+    & opt mapper_conv (Ocgra_mappers.Registry.find "modulo-greedy")
     & info [ "m"; "mapper" ]
         ~doc:
           "Mapper name (see $(b,list)); also accepts the off-table extras $(b,constructive) \
@@ -58,7 +94,7 @@ let deadline_t =
 let fallback_t =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some chain_conv) None
     & info [ "fallback" ]
         ~doc:"Comma-separated fallback chain of mappers (overrides $(b,-m)), tried in order.")
 
@@ -75,7 +111,11 @@ let resolve_jobs j = if j <= 0 then Ocgra_par.Pool.default_workers () else j
 
 let harden_t =
   Arg.(
-    value & opt string "none"
+    value
+    & opt
+        (named ~hint:"want none|dmr|tmr" "hardening mode" Ocgra_dfg.Harden.mode_of_string
+           Ocgra_dfg.Harden.mode_to_string)
+        Ocgra_dfg.Harden.No_harden
     & info [ "harden" ] ~doc:"Hardening transform applied before mapping: none|dmr|tmr.")
 
 let campaign_t =
@@ -143,10 +183,7 @@ let survivor_t =
            simulator; reports the II-degradation curve, repair-vs-scratch time ratio and the \
            certified failure point.")
 
-let chain_of mapper fallback =
-  match fallback with
-  | Some spec -> Ocgra_mappers.Registry.chain_of_spec spec
-  | None -> [ Ocgra_mappers.Registry.find mapper ]
+let chain_of mapper fallback = match fallback with Some chain -> chain | None -> [ mapper ]
 
 let trace_t =
   Arg.(
@@ -202,14 +239,13 @@ let write_obs obs trace metrics events =
    order — same validated answer contract, min-over-tiers latency. *)
 let run_mapper ?(obs = Ocgra_obs.Ctx.off) ?(retries = 2) mapper fallback seed deadline jobs p =
   match fallback with
-  | Some spec ->
-      let chain = Ocgra_mappers.Registry.chain_of_spec spec in
+  | Some chain ->
       let workers = resolve_jobs jobs in
       if workers > 1 then
         Ocgra_core.Mapper.Harness.race ~seed ?deadline_s:deadline ~workers ~obs chain p
       else Ocgra_core.Mapper.Harness.run ~seed ?deadline_s:deadline ~retries ~obs chain p
   | None ->
-      Ocgra_core.Mapper.run (Ocgra_mappers.Registry.find mapper) ~seed ?deadline_s:deadline ~obs p
+      Ocgra_core.Mapper.run mapper ~seed ?deadline_s:deadline ~obs p
 
 let list_cmd =
   let run () =
@@ -235,8 +271,7 @@ let arch_cmd =
   Cmd.v (Cmd.info "arch" ~doc:"Describe a CGRA instance")
     Term.(const run $ rows_t $ cols_t $ topo_t $ hetero_t $ faults_t $ fault_seed_t)
 
-let problem_of kernel spatial cgra =
-  let k = Ocgra_workloads.Kernels.find kernel in
+let problem_of (k : Ocgra_workloads.Kernels.t) spatial cgra =
   let p =
     if spatial then Ocgra_core.Problem.spatial ~init:k.init ~dfg:k.dfg ~cgra ()
     else Ocgra_core.Problem.temporal ~init:k.init ~dfg:k.dfg ~cgra ()
@@ -306,7 +341,7 @@ let map_cmd =
       $ trace_t $ metrics_t $ events_t)
 
 let sim_cmd =
-  let run kernel mapper rows cols topo hetero seed iters faults fault_seed deadline fallback harden
+  let run kernel mapper rows cols topo hetero seed iters faults fault_seed deadline fallback mode
       campaign fault_rate retries chaos checkpoint resume survivor jobs trace metrics events =
     let obs = mk_obs trace metrics events in
     let cgra = mk_cgra rows cols topo hetero faults fault_seed in
@@ -314,7 +349,6 @@ let sim_cmd =
       Printf.printf "faults: %s\n"
         (Ocgra_arch.Fault.list_to_string (Ocgra_arch.Cgra.faults cgra));
     let k, p_base = problem_of kernel false cgra in
-    let mode = Ocgra_dfg.Harden.mode_of_string harden in
     (* hardening is a DFG-level rewrite: the mapper sees an ordinary
        (if larger) problem; init values follow the replicas via the
        origin map *)
@@ -434,74 +468,6 @@ let sim_cmd =
       $ retries_t $ chaos_t $ checkpoint_t $ resume_t $ survivor_t $ jobs_t $ trace_t $ metrics_t
       $ events_t)
 
-(* Perf-regression gate over BENCH_*.json snapshots.  Exit codes are
-   the contract CI scripts on: 0 clean (improvements allowed), 1
-   regression beyond tolerance, 2 unreadable/mismatched snapshots or
-   structural drift. *)
-let report_cmd =
-  let run candidate against tol_time tol_count json_out =
-    let module D = Ocgra_obs.Bench_diff in
-    let load_or_die path =
-      match D.load path with
-      | Ok s -> s
-      | Error e ->
-          Printf.eprintf "report: %s\n" e;
-          exit 2
-    in
-    let baseline = load_or_die against in
-    (* no candidate = self-diff: a snapshot must always pass against
-       itself, which is the gate's own sanity check *)
-    let candidate = match candidate with Some p -> load_or_die p | None -> baseline in
-    let tol = { D.time_rel = tol_time; count_rel = tol_count } in
-    match D.diff ~tol ~baseline ~candidate () with
-    | Error e ->
-        Printf.eprintf "report: %s\n" e;
-        exit 2
-    | Ok r ->
-        print_string (D.render_human r);
-        Option.iter (fun path -> Ocgra_obs.Export.write_file path (D.render_json r)) json_out;
-        if r.D.structural <> [] then exit 2 else if r.D.regressions <> [] then exit 1
-  in
-  let candidate_t =
-    Arg.(
-      value
-      & pos 0 (some string) None
-      & info [] ~docv:"CANDIDATE"
-          ~doc:"Candidate snapshot to judge; omitted = self-diff the baseline (always exits 0).")
-  in
-  let against_t =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "against" ] ~docv:"BASELINE" ~doc:"Baseline BENCH_*.json snapshot.")
-  in
-  let tol_time_t =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tol-time" ]
-          ~doc:"Relative tolerance for wall-clock leaves (0.25 = 25% slower still passes).")
-  in
-  let tol_count_t =
-    Arg.(
-      value & opt float 0.0
-      & info [ "tol-count" ]
-          ~doc:
-            "Relative tolerance for deterministic work counts (conflicts, decisions, \
-             propagations); default exact.")
-  in
-  let json_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the machine-readable diff report to $(docv).")
-  in
-  Cmd.v
-    (Cmd.info "report"
-       ~doc:
-         "Diff two BENCH_*.json snapshots and exit non-zero on regression (the CI perf gate). \
-          Schema-stamped snapshots only; mismatched schema or bench names are refused.")
-    Term.(const run $ candidate_t $ against_t $ tol_time_t $ tol_count_t $ json_t)
-
 (* The mapping daemon: JSONL requests in, JSONL responses out, one
    canonical-form cache across the whole stream.  A malformed line
    costs an error *response* and a non-zero exit at the end — the
@@ -617,4 +583,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ list_cmd; arch_cmd; map_cmd; sim_cmd; serve_cmd; report_cmd; table1_cmd; timeline_cmd ]))
+          [ list_cmd; arch_cmd; map_cmd; sim_cmd; serve_cmd; table1_cmd; timeline_cmd ]))

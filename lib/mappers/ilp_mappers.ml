@@ -344,6 +344,6 @@ let schedule =
                 | Some m -> (Some m, a + 1)
                 | None -> (Some base, a + 1)))
       in
-      (* re-timing never revisits the II, so no optimality claim *)
+      (* re-timing keeps the II, so the one optimality rule applies *)
       Mapper.answer ~note:"heuristic binding + time-indexed ILP re-scheduling" ~attempts
-        (m, false))
+        (m, Mapper.at_mii p m))

@@ -29,7 +29,7 @@
 
    Learnt clauses, VSIDS activity and saved phases therefore carry
    from one II to the next instead of restarting cold — the difference
-   the committed BENCH_PR8.json quantifies.  The cold-per-II baseline
+   test_mappers pins in conflicts per sweep.  The cold-per-II baseline
    (fresh solver per candidate, the pre-incremental behaviour) is kept
    as [mapper_cold] / [map ~incremental:false].
 
@@ -421,6 +421,6 @@ let make_mapper ~name ~incremental =
 let mapper = make_mapper ~name:"sat" ~incremental:true
 
 (* The pre-incremental baseline — a fresh solver per candidate II —
-   kept registered (as "sat-cold") so the bench can price the learnt
-   clause/VSIDS/phase carry-over of the shared instance against it. *)
+   kept registered (as "sat-cold") so the learnt clause/VSIDS/phase
+   carry-over of the shared instance can be priced against it. *)
 let mapper_cold = make_mapper ~name:"sat-cold" ~incremental:false

@@ -35,5 +35,5 @@ val map :
 val mapper : Ocgra_core.Mapper.t
 
 (** The cold-per-II baseline as a registered mapper ("sat-cold"), kept
-    so benches can price the incremental sweep against it. *)
+    so the incremental sweep can be priced against it. *)
 val mapper_cold : Ocgra_core.Mapper.t

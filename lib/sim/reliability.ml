@@ -349,8 +349,8 @@ let run_campaign ?workers ?(obs = Ocgra_obs.Ctx.off) ?(retries = 2)
    salvages the previous step's mapping through [Repair]'s certified
    ladder, replaying the survivor on the cycle-accurate simulator.
    The walk yields the II-degradation curve, the repair-vs-scratch
-   time ratio (each step also cold-remaps for comparison unless
-   [~scratch:false]) and the certified-failure point: the first fault
+   time ratio (each step also cold-remaps for comparison) and the
+   certified-failure point: the first fault
    count at which no rung — fallback included — can certify a mapping. *)
 
 type survivor_step = {
@@ -358,7 +358,7 @@ type survivor_step = {
   rung : Mapper.rung option;
   ii : int option;
   repair_s : float;
-  scratch_s : float option;
+  scratch_s : float;
   scratch_ok : bool;
   replayed : bool;
   note : string;
@@ -380,9 +380,7 @@ let survivor_step_to_string s =
     | None -> "FAILED,")
     (if s.replayed then " replayed," else if s.rung = None then "" else " REPLAY MISMATCH,")
     s.repair_s
-    (match s.scratch_s with
-    | Some sc -> Printf.sprintf ", scratch %.3fs%s" sc (if s.scratch_ok then "" else " (failed)")
-    | None -> "")
+    (Printf.sprintf ", scratch %.3fs%s" s.scratch_s (if s.scratch_ok then "" else " (failed)"))
     (if s.note = "" then "" else " — " ^ s.note)
 
 let survivor_to_string r =
@@ -405,7 +403,7 @@ let median l =
       let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
       Some ((a +. b) /. 2.0)
 
-let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_deadline_s
+let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?step_deadline_s
     ?(max_ii_bumps = 2) ~chain (p : Problem.t) (m0 : Mapping.t) ~mk_io ~iters ~expected ~steps
     ~seed =
   if steps < 0 then invalid_arg "Reliability.run_survivor: negative step count";
@@ -449,14 +447,9 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_dea
               ~fallback:chain ?workers ~max_ii_bumps pk m_prev)
       in
       let repair_s = Deadline.now () -. t0 in
-      let scratch_s, scratch_ok =
-        if not scratch then (None, false)
-        else begin
-          let t1 = Deadline.now () in
-          let c = Mapper.Harness.race ~seed ?deadline_s:step_deadline_s ?workers ~obs chain pk in
-          (Some (Deadline.now () -. t1), c.Mapper.mapping <> None)
-        end
-      in
+      let t1 = Deadline.now () in
+      let c = Mapper.Harness.race ~seed ?deadline_s:step_deadline_s ?workers ~obs chain pk in
+      let scratch_s = Deadline.now () -. t1 and scratch_ok = c.Mapper.mapping <> None in
       match o.Repair.mapping with
       | Some m when replay_ok pk m ->
           let s =
@@ -500,8 +493,8 @@ let run_survivor ?workers ?(obs = Ocgra_obs.Ctx.off) ?(scratch = true) ?step_dea
   let ratios =
     List.filter_map
       (fun s ->
-        match (s.rung, s.scratch_s) with
-        | Some _, Some sc when s.repair_s > 0.0 -> Some (sc /. s.repair_s)
+        match s.rung with
+        | Some _ when s.repair_s > 0.0 -> Some (s.scratch_s /. s.repair_s)
         | _ -> None)
       steps_done
   in

@@ -119,7 +119,7 @@ type survivor_step = {
       (** certifying ladder rung; [None] = this step failed *)
   ii : int option;  (** survivor's II, when certified *)
   repair_s : float;  (** wall clock of the ladder *)
-  scratch_s : float option;  (** wall clock of the cold remap, when measured *)
+  scratch_s : float;  (** wall clock of the cold remap *)
   scratch_ok : bool;  (** the cold remap also found a mapping *)
   replayed : bool;  (** survivor replayed correctly on the simulator *)
   note : string;
@@ -149,12 +149,12 @@ val survivor_to_string : survivor_report -> string
     with no certified, correctly-replaying mapping (the certified
     failure point) or after [steps] steps.
 
-    Unless [~scratch:false], every step also cold-remaps with
-    {!Ocgra_core.Mapper.Harness.race} on the same mask to price the
-    repair against a from-scratch solve.  [?step_deadline_s] budgets
-    each step's ladder (and each cold remap) separately.  Deterministic
-    in [seed] for a single-tier [chain]; with racing fallbacks the
-    failure point is stable but which tier wins is timing-dependent.
+    Every step also cold-remaps with {!Ocgra_core.Mapper.Harness.race}
+    on the same mask to price the repair against a from-scratch solve.
+    [?step_deadline_s] budgets each step's ladder (and each cold remap)
+    separately.  Deterministic in [seed] for a single-tier [chain]; with
+    racing fallbacks the failure point is stable but which tier wins is
+    timing-dependent.
 
     [obs] records one [survivor:step] span per step plus
     [survivor.steps] / [survivor.survived] and everything {!repair}
@@ -163,7 +163,6 @@ val survivor_to_string : survivor_report -> string
 val run_survivor :
   ?workers:int ->
   ?obs:Ocgra_obs.Ctx.t ->
-  ?scratch:bool ->
   ?step_deadline_s:float ->
   ?max_ii_bumps:int ->
   chain:Ocgra_core.Mapper.t list ->

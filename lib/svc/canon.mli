@@ -38,6 +38,6 @@ val witness : t -> t -> int array option
 
 (** [permute d p] renumbers: node [i] of [d] becomes node [p.(i)] of the
     result, edges follow.  [witness (of_dfg d) (of_dfg (permute d p))]
-    is total by construction — the bench stream generator and the
+    is total by construction — the perfbench serve workloads and the
     property tests build their isomorphic duplicates with this. *)
 val permute : Ocgra_dfg.Dfg.t -> int array -> Ocgra_dfg.Dfg.t

@@ -25,6 +25,23 @@ for M in $MAPPERS constructive sat-cold; do
   done
 done
 
+# an unknown kernel or mapper name is a one-line usage error that
+# points to `ocgra list`: a nonzero exit other than cmdliner's 125
+# (uncaught exception), never a crash
+for ARGS in "map -m nosuch" "map -k nosuch" "map --fallback nosuch,modulo-greedy" \
+  "serve --mapper nosuch"; do
+  RC=0
+  ERR=$("$OCGRA" $ARGS 2>&1 > /dev/null < /dev/null) || RC=$?
+  if [ "$RC" -eq 0 ] || [ "$RC" -eq 125 ]; then
+    echo "ocgra $ARGS exited $RC" >&2
+    exit 1
+  fi
+  echo "$ERR" | grep -q "ocgra list" || {
+    echo "ocgra $ARGS: error does not point to 'ocgra list': $ERR" >&2
+    exit 1
+  }
+done
+
 # the headline robustness path: two injected faults, a wall-clock
 # budget, and a three-tier fallback chain; must end in a verified run
 "$OCGRA" sim -k fir4 -m sat --faults 2 --fault-seed 7 --deadline 5 \

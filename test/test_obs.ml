@@ -203,7 +203,7 @@ let qcheck_json_roundtrip =
     (fun v -> Obs.Json.parse (Obs.Json.write v) = Ok v)
 
 (* Valid inputs of every outside-facing reader: committed request
-   lines, a stamped snapshot and a journal trial line. *)
+   lines, a stamped bench snapshot and a journal trial line. *)
 let fuzz_seeds =
   let read path =
     let ic = open_in_bin path in
@@ -211,13 +211,19 @@ let fuzz_seeds =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
+  let snapshot =
+    "{\n\"schema\": 1,\n\"bench\": \"table1-empirical\",\n\"cells\": [\n\
+     {\"mapper\": \"sat\", \"kernel\": \"fir4\", \"ii\": 2, \"proven_optimal\": true, \
+     \"map_time_s\": 0.012345, \"counters\": {\"sat.conflicts\": 1787}},\n\
+     {\"mapper\": \"cp\", \"kernel\": \"matvec2\", \"ii\": null, \"proven_optimal\": false, \
+     \"map_time_s\": 1.5e-05, \"counters\": {}}\n]\n}\n"
+  in
   let trial =
     "{\"trial\":3,\"seed\":\"4611686018427387903\",\"class\":\"sdc\",\"injected\":2,\
      \"applied\":1}"
   in
   Array.of_list
-    ((read "../BENCH_PR10.json" :: trial
-     :: String.split_on_char '\n' (read "../SERVE_STREAM.jsonl"))
+    ((snapshot :: trial :: String.split_on_char '\n' (read "../SERVE_STREAM.jsonl"))
     |> List.filter (fun l -> l <> ""))
 
 type mutation = Flip of int * int | Insert of int * char | Delete of int | Truncate of int
@@ -256,8 +262,6 @@ let gen_mutated =
     (list_size (int_range 1 4) mutation)
 
 let qcheck_readers_never_raise =
-  let snapshot = Filename.temp_file "ocgra_fuzz" ".json" in
-  at_exit (fun () -> Sys.remove snapshot);
   QCheck.Test.make ~name:"mutated inputs: every reader returns a value" ~count:400
     (QCheck.make ~print:String.escaped gen_mutated)
     (fun s ->
@@ -265,10 +269,6 @@ let qcheck_readers_never_raise =
       ignore (Ocgra_svc.Wire.parse_req s);
       ignore (Ocgra_svc.Wire.salvage_id ~line:1 s);
       ignore (Ocgra_sim.Reliability.parse_trial_line s);
-      let oc = open_out_bin snapshot in
-      output_string oc s;
-      close_out oc;
-      ignore (Obs.Bench_diff.load snapshot);
       true)
 
 let test_fuzz_seeds_are_valid () =
@@ -581,91 +581,6 @@ let test_events_bounded_and_absorb () =
   checkb "absorb appends in order after the host's own events" true
     (names = [ "first"; "tick"; "tick"; "tick"; "tick" ])
 
-(* ---------- bench snapshot diffing ---------- *)
-
-let write_tmp name contents =
-  let path = Filename.concat (Filename.get_temp_dir_name ()) name in
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc;
-  path
-
-let snapshot_src ~time ~conflicts =
-  Printf.sprintf
-    "{\n\
-     \"schema\": 1,\n\
-     \"bench\": \"unit\",\n\
-     \"kernels\": [ { \"kernel\": \"k1\", \"ii\": 3, \"conflicts\": %d, \"map_time_s\": %s, \
-     \"ok\": true } ]\n\
-     }\n"
-    conflicts time
-
-let load_ok path =
-  match Obs.Bench_diff.load path with Ok s -> s | Error e -> Alcotest.fail e
-
-let diff_ok ?tol ~baseline ~candidate () =
-  match Obs.Bench_diff.diff ?tol ~baseline ~candidate () with
-  | Ok r -> r
-  | Error e -> Alcotest.fail e
-
-let test_bench_diff_self () =
-  let snap = load_ok (write_tmp "bench_self.json" (snapshot_src ~time:"0.010" ~conflicts:120)) in
-  let r = diff_ok ~baseline:snap ~candidate:snap () in
-  checkb "self-diff is clean" true (Obs.Bench_diff.ok r);
-  checkb "checked some leaves" true (r.Obs.Bench_diff.checked > 0);
-  checki "no regressions" 0 (List.length r.Obs.Bench_diff.regressions);
-  checkb "human rendering non-empty" true (String.length (Obs.Bench_diff.render_human r) > 0);
-  checkb "machine rendering is valid JSON" true (json_valid (Obs.Bench_diff.render_json r))
-
-let test_bench_diff_time_regression () =
-  let baseline =
-    load_ok (write_tmp "bench_base.json" (snapshot_src ~time:"0.0100" ~conflicts:120))
-  in
-  let candidate =
-    load_ok (write_tmp "bench_cand.json" (snapshot_src ~time:"0.0110" ~conflicts:120))
-  in
-  (* +10% wall clock: flagged under a 5% tolerance ... *)
-  let tight = { Obs.Bench_diff.time_rel = 0.05; count_rel = 0.0 } in
-  let r = diff_ok ~tol:tight ~baseline ~candidate () in
-  checkb "10% time regression flagged at 5% tolerance" false (Obs.Bench_diff.ok r);
-  (match r.Obs.Bench_diff.regressions with
-  | [ f ] ->
-      checkb "classified as wall-clock" true (f.Obs.Bench_diff.cls = Obs.Bench_diff.Time);
-      checkb "relative change is ~+10%" true
-        (f.Obs.Bench_diff.rel > 0.09 && f.Obs.Bench_diff.rel < 0.11)
-  | l -> Alcotest.failf "expected exactly one regression, got %d" (List.length l));
-  (* ... and absorbed by the default generous one *)
-  checkb "10% passes the default 25% tolerance" true
-    (Obs.Bench_diff.ok (diff_ok ~baseline ~candidate ()))
-
-let test_bench_diff_count_exact () =
-  let baseline =
-    load_ok (write_tmp "bench_base2.json" (snapshot_src ~time:"0.0100" ~conflicts:120))
-  in
-  let candidate =
-    load_ok (write_tmp "bench_cand2.json" (snapshot_src ~time:"0.0100" ~conflicts:121))
-  in
-  let r = diff_ok ~baseline ~candidate () in
-  checkb "one extra conflict fails the exact default" false (Obs.Bench_diff.ok r);
-  match r.Obs.Bench_diff.regressions with
-  | [ f ] -> checkb "classified as deterministic work" true (f.Obs.Bench_diff.cls = Obs.Bench_diff.Count)
-  | l -> Alcotest.failf "expected exactly one regression, got %d" (List.length l)
-
-let test_bench_diff_stamp_guard () =
-  (* an unstamped file refuses to load ... *)
-  (match Obs.Bench_diff.load (write_tmp "bench_unstamped.json" "{\"kernels\": []}\n") with
-  | Ok _ -> Alcotest.fail "unstamped snapshot must not load"
-  | Error e -> checkb "error names the stamp" true (String.length e > 0));
-  (* ... and stamped-but-different snapshots refuse to diff *)
-  let a = load_ok (write_tmp "bench_s1.json" (snapshot_src ~time:"0.01" ~conflicts:1)) in
-  let other =
-    "{\n\"schema\": 2,\n\"bench\": \"unit\",\n\"kernels\": []\n}\n"
-  in
-  let b = load_ok (write_tmp "bench_s2.json" other) in
-  match Obs.Bench_diff.diff ~baseline:a ~candidate:b () with
-  | Ok _ -> Alcotest.fail "schema mismatch must be an error"
-  | Error e -> checkb "mismatch error is descriptive" true (String.length e > 0)
-
 (* ---------- event determinism through the harness ---------- *)
 
 let events_of_run seed =
@@ -747,14 +662,5 @@ let () =
             test_events_bounded_and_absorb;
           Alcotest.test_case "harness event log deterministic" `Quick
             test_harness_events_deterministic;
-        ] );
-      ( "bench-diff",
-        [
-          Alcotest.test_case "identical snapshots self-diff clean" `Quick test_bench_diff_self;
-          Alcotest.test_case "10% time regression flagged" `Quick
-            test_bench_diff_time_regression;
-          Alcotest.test_case "counts compare exactly by default" `Quick
-            test_bench_diff_count_exact;
-          Alcotest.test_case "stamp and schema guard" `Quick test_bench_diff_stamp_guard;
         ] );
     ]

@@ -181,6 +181,74 @@ let test_expired_budget_never_uncertified () =
   | None -> checkb "failure reported" true (o.Repair.rung = None)
   | Some m -> checkb "certified despite expiry" true (Check.validate p' m = [])
 
+(* ---------- survivor walk, pinned ---------- *)
+
+(* Five kernels mapped by modulo-greedy (seed 7) on the healthy 4x4,
+   then walked through ten escalating seeded faults on one worker.
+   Every step's rung, II and replay verdict is deterministic, so the
+   whole walk is pinned: a ladder change that moves any step fails. *)
+let walk_pins =
+  [
+    ( "dot-product",
+      [ ("untouched", Some 1, true); ("untouched", Some 1, true); ("untouched", Some 1, true);
+        ("untouched", Some 1, true); ("untouched", Some 1, true); ("untouched", Some 1, true);
+        ("ii-bump", Some 3, true); ("ii-bump", Some 4, true); ("untouched", Some 4, true);
+        ("untouched", Some 4, true) ] );
+    ( "saxpy",
+      [ ("ii-bump", Some 3, true); ("route-only", Some 3, true); ("untouched", Some 3, true);
+        ("re-place", Some 3, true); ("untouched", Some 3, true); ("untouched", Some 3, true);
+        ("re-place", Some 3, true); ("untouched", Some 3, true); ("untouched", Some 3, true);
+        ("untouched", Some 3, true) ] );
+    ( "fir4",
+      [ ("untouched", Some 2, true); ("route-only", Some 2, true); ("untouched", Some 2, true);
+        ("ii-bump", Some 3, true); ("untouched", Some 3, true); ("untouched", Some 3, true);
+        ("ii-bump", Some 4, true); ("fallback", Some 4, true); ("untouched", Some 4, true);
+        ("untouched", Some 4, true) ] );
+    ( "sobel-row",
+      [ ("untouched", Some 3, true); ("ii-bump", Some 4, true); ("untouched", Some 4, true);
+        ("untouched", Some 4, true); ("untouched", Some 4, true); ("fallback", Some 4, true);
+        ("fallback", Some 4, true); ("ii-bump", Some 5, true); ("fallback", Some 4, true);
+        ("route-only", Some 4, true) ] );
+    ( "absdiff",
+      [ ("ii-bump", Some 4, true); ("ii-bump", Some 6, true); ("untouched", Some 6, true);
+        ("untouched", Some 6, true); ("untouched", Some 6, true); ("untouched", Some 6, true);
+        ("untouched", Some 6, true); ("re-place", Some 6, true); ("fallback", Some 3, true);
+        ("untouched", Some 3, true) ] );
+  ]
+
+let test_survivor_walk_pinned () =
+  let iters = 8 in
+  let certified =
+    List.fold_left
+      (fun n (name, pins) ->
+        let k = Kernels.find name in
+        let p, m = map_kernel k in
+        let mk_io () = Ocgra_sim.Machine.io_of_streams ~memory:k.memory (k.inputs iters) in
+        let reference = Kernels.eval_reference k ~iters in
+        let expected =
+          List.map (fun o -> (o, Ocgra_dfg.Eval.output_stream reference o)) k.outputs
+        in
+        let rep =
+          Ocgra_sim.Reliability.run_survivor ~workers:1 ~chain p m ~mk_io ~iters ~expected
+            ~steps:10 ~seed:1
+        in
+        let steps = rep.Ocgra_sim.Reliability.steps in
+        Alcotest.(check (list (triple string (option int) bool)))
+          (name ^ ": rung, II, replayed per step")
+          pins
+          (List.map
+             (fun (s : Ocgra_sim.Reliability.survivor_step) ->
+               ( (match s.rung with Some r -> Mapper.rung_to_string r | None -> "none"),
+                 s.ii,
+                 s.replayed ))
+             steps);
+        n
+        + List.length
+            (List.filter (fun (s : Ocgra_sim.Reliability.survivor_step) -> s.rung <> None) steps))
+      0 walk_pins
+  in
+  checki "every step certified" 50 certified
+
 (* ---------- frozen-occupancy satellite ---------- *)
 
 let test_occupancy_preclaim_idempotent () =
@@ -219,6 +287,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_repair_certifies;
           Alcotest.test_case "worker-count determinism" `Quick test_deterministic_across_workers;
           Alcotest.test_case "expired budget" `Quick test_expired_budget_never_uncertified;
+          Alcotest.test_case "survivor walk pinned" `Quick test_survivor_walk_pinned;
         ] );
       ( "diagnosis",
         [

@@ -303,6 +303,75 @@ let test_wire_pins_committed_stream () =
       | Error e -> Alcotest.fail (line ^ ": " ^ e))
     lines
 
+(* The committed stream holds one cold request per kernel, duplicates,
+   isomorphic renamings, three nested fault-mask growth families and
+   one off-architecture request.  Replayed through the wire codec in
+   batches of 8, every count is a function of the stream alone, so
+   they are pinned exactly; the suite runs under several worker
+   counts, which must not show through. *)
+let test_committed_stream_replay_pinned () =
+  let lookup name =
+    match Kernels.find name with k -> Ok k.Kernels.dfg | exception Invalid_argument m -> Error m
+  in
+  let reqs =
+    List.map
+      (fun line ->
+        match Result.bind (Wire.parse_req line) (Wire.to_request ~lookup) with
+        | Ok r -> r
+        | Error e -> Alcotest.fail (line ^ ": " ^ e))
+      (Ocgra_par.Journal.read_lines "../SERVE_STREAM.jsonl")
+  in
+  let svc =
+    Svc.create
+      { config with Svc.capacity = 64; workers = Ocgra_par.Pool.default_workers (); seed = 7 }
+  in
+  let rec drain acc = function
+    | [] -> List.rev acc
+    | rest ->
+        let chunk = List.filteri (fun i _ -> i < 8) rest in
+        let rest = List.filteri (fun i _ -> i >= 8) rest in
+        drain (List.rev_append (List.combine chunk (Svc.submit_batch svc chunk)) acc) rest
+  in
+  let served = drain [] reqs in
+  List.iter
+    (fun ((q : Svc.request), (r : Svc.response)) ->
+      match r.Svc.mapping with
+      | None -> Alcotest.failf "%s: no mapping (%s)" r.Svc.id (served_name r)
+      | Some m ->
+          let p =
+            if q.Svc.spatial then Problem.spatial ~dfg:q.Svc.dfg ~cgra:q.Svc.cgra ()
+            else Problem.temporal ?max_ii:q.Svc.max_ii ~dfg:q.Svc.dfg ~cgra:q.Svc.cgra ()
+          in
+          Alcotest.(check (list string)) (r.Svc.id ^ " certified") [] (Check.validate p m))
+    served;
+  let s = Svc.stats svc in
+  Alcotest.(check (list (pair string int)))
+    "counts"
+    [
+      ("requests", 49); ("hits", 12); ("iso_hits", 12); ("repair_hits", 13); ("misses", 12);
+      ("rejections", 0); ("coalesced", 0); ("demotions", 0); ("evictions", 0); ("entries", 7);
+    ]
+    [
+      ("requests", s.Svc.requests); ("hits", s.Svc.hits); ("iso_hits", s.Svc.iso_hits);
+      ("repair_hits", s.Svc.repair_hits); ("misses", s.Svc.misses);
+      ("rejections", s.Svc.rejections); ("coalesced", s.Svc.coalesced);
+      ("demotions", s.Svc.demotions); ("evictions", s.Svc.evictions); ("entries", s.Svc.entries);
+    ];
+  let rungs =
+    List.filter_map
+      (fun (_, (r : Svc.response)) ->
+        match r.Svc.served with
+        | Svc.Repair_hit rung -> Some (Mapper.rung_to_string rung)
+        | _ -> None)
+      served
+  in
+  Alcotest.(check (list (pair string int)))
+    "repair rungs"
+    [ ("ii-bump", 1); ("untouched", 12) ]
+    (List.map
+       (fun r -> (r, List.length (List.filter (( = ) r) rungs)))
+       (List.sort_uniq compare rungs))
+
 let test_wire_off_array_faults () =
   (* a request may name faults on PEs the array does not have: they
      stay in the mask but mask nothing, and the request is served *)
@@ -481,6 +550,8 @@ let () =
           Alcotest.test_case "malformed lines are errors" `Quick test_wire_malformed;
           Alcotest.test_case "committed stream re-encodes byte for byte" `Quick
             test_wire_pins_committed_stream;
+          Alcotest.test_case "committed stream replay pinned" `Quick
+            test_committed_stream_replay_pinned;
           Alcotest.test_case "bad escape costs one error line" `Quick
             test_wire_bad_escape_is_one_error;
           Alcotest.test_case "off-array faults mask nothing" `Quick test_wire_off_array_faults;
